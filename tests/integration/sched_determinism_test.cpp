@@ -6,14 +6,19 @@
 // compared with host-nanosecond fields zeroed, the one wall-clock channel
 // in the formats). The matrix covers {SMP, DUAL, VNM} x {no fault, kill-2,
 // FT kill-3} with tracing and the flight recorder both attached, plus a
-// 256-rank stress cell on eight workers.
+// 256-rank stress cell on eight workers. Three golden cells pin the serial
+// dispatcher's artifacts to committed CRC32 digests, so a change to either
+// scheduler that moves both in step still fails.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <span>
 #include <string>
 
+#include "common/crc.hpp"
+#include "common/strfmt.hpp"
 #include "core/session.hpp"
 #include "fault/fault.hpp"
 #include "ft/ftcomm.hpp"
@@ -33,9 +38,6 @@ struct MatrixCell {
   unsigned deaths = 0;
   bool ft = false;
   unsigned jobs = 4;
-  /// Run with the legacy per-instruction event emission and the legacy
-  /// virtual cache walk instead of the batched/devirtualized fast paths.
-  bool legacy = false;
 };
 
 /// Everything observable a run leaves behind, in comparable form.
@@ -77,8 +79,7 @@ RunArtifacts run_cell(const MatrixCell& cell, rt::SchedMode sched) {
   const fs::path dir =
       fs::temp_directory_path() /
       (std::string("bgpc_sched_") + ti->name() +
-       (sched == rt::SchedMode::kParallel ? "_par" : "_ser") +
-       (cell.legacy ? "_legacy" : ""));
+       (sched == rt::SchedMode::kParallel ? "_par" : "_ser"));
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -87,8 +88,6 @@ RunArtifacts run_cell(const MatrixCell& cell, rt::SchedMode sched) {
   mc.mode = cell.mode;
   mc.sched = sched;
   mc.jobs = sched == rt::SchedMode::kParallel ? cell.jobs : 0;
-  mc.legacy_block_events = cell.legacy;
-  mc.boot.legacy_mem_walk = cell.legacy;
   rt::Machine machine(mc);
 
   fault::FaultInjector injector{[&] {
@@ -194,43 +193,115 @@ TEST(SchedDeterminism, Stress256Ranks) {
   expect_identical({.mode = sys::OpMode::kVnm, .nodes = 64, .jobs = 8});
 }
 
-/// The batched/devirtualized fast paths against the legacy walk and
-/// per-instruction event delivery: same pinned seed, every artifact
-/// byte-identical. Runs under the named scheduler for both variants.
-void expect_fast_matches_legacy(MatrixCell cell, rt::SchedMode sched) {
-  cell.legacy = true;
-  const RunArtifacts legacy = run_cell(cell, sched);
-  cell.legacy = false;
-  const RunArtifacts fast = run_cell(cell, sched);
+/// Committed digest of one serial-dispatcher run: the scalar outcomes plus
+/// the CRC32 of every artifact file (span files normalized as above).
+struct GoldenRun {
+  cycles_t elapsed = 0;
+  std::size_t dead_nodes = 0;
+  std::size_t recovery_events = 0;
+  std::map<std::string, u32> file_crcs;
+};
 
-  EXPECT_EQ(legacy.elapsed, fast.elapsed);
-  EXPECT_EQ(legacy.dead_nodes, fast.dead_nodes);
-  EXPECT_EQ(legacy.recovery_events, fast.recovery_events);
-  ASSERT_FALSE(legacy.files.empty());
-  ASSERT_EQ(legacy.files.size(), fast.files.size());
-  for (const auto& [name, bytes] : legacy.files) {
-    const auto it = fast.files.find(name);
-    ASSERT_NE(it, fast.files.end()) << name << " missing from fast-path run";
-    EXPECT_EQ(bytes, it->second) << name << " differs legacy vs fast path";
+/// `a` as a GoldenRun initializer, indented to paste over a stale one.
+std::string golden_source(const RunArtifacts& a,
+                          const std::map<std::string, u32>& crcs) {
+  std::string out = strfmt(
+      "          .elapsed = %llu,\n          .dead_nodes = %zu,\n"
+      "          .recovery_events = %zu,\n          .file_crcs = {\n",
+      static_cast<unsigned long long>(a.elapsed), a.dead_nodes,
+      a.recovery_events);
+  for (const auto& [name, crc] : crcs) {
+    out += strfmt("              {\"%s\", 0x%08xu},\n", name.c_str(), crc);
   }
+  return out + "          }\n";
 }
 
-TEST(SchedDeterminism, FastPathVnmPlainSerial) {
-  expect_fast_matches_legacy({.mode = sys::OpMode::kVnm},
-                             rt::SchedMode::kSerial);
+/// CRC32 of a file's bytes taken back to front. Dumps and traces close
+/// each section with that section's own CRC32, and a forward CRC over data
+/// followed by its CRC is the same constant for any data of that length
+/// (the CRC residue), so a forward digest would not see checksummed bytes.
+u32 file_crc(const std::string& bytes) {
+  const std::string reversed(bytes.rbegin(), bytes.rend());
+  return crc32(std::as_bytes(std::span(reversed.data(), reversed.size())));
 }
-TEST(SchedDeterminism, FastPathVnmPlainParallel) {
-  expect_fast_matches_legacy({.mode = sys::OpMode::kVnm},
-                             rt::SchedMode::kParallel);
+
+/// Runs `cell` on the serial dispatcher and compares it with `golden`. On
+/// a mismatch the failure prints the regenerated initializer.
+void expect_golden(const MatrixCell& cell, const GoldenRun& golden) {
+  const RunArtifacts a = run_cell(cell, rt::SchedMode::kSerial);
+  std::map<std::string, u32> crcs;
+  for (const auto& [name, bytes] : a.files) {
+    crcs[name] = file_crc(bytes);
+  }
+  EXPECT_EQ(a.elapsed, golden.elapsed);
+  EXPECT_EQ(a.dead_nodes, golden.dead_nodes);
+  EXPECT_EQ(a.recovery_events, golden.recovery_events);
+  EXPECT_EQ(crcs, golden.file_crcs) << "this run:\n" << golden_source(a, crcs);
 }
-TEST(SchedDeterminism, FastPathVnmKill2Serial) {
-  expect_fast_matches_legacy({.mode = sys::OpMode::kVnm, .deaths = 2},
-                             rt::SchedMode::kSerial);
+
+TEST(SchedDeterminism, GoldenVnmPlainSerial) {
+  expect_golden(
+      {.mode = sys::OpMode::kVnm},
+      {
+          .elapsed = 818584,
+          .dead_nodes = 0,
+          .recovery_events = 0,
+          .file_crcs = {
+              {"CG.node0000.bgpc", 0xaa2552f3u},
+              {"CG.node0000.bgps", 0xe7aea83bu},
+              {"CG.node0000.bgpt", 0xb41e3e1fu},
+              {"CG.node0001.bgpc", 0x6408a0ccu},
+              {"CG.node0001.bgps", 0x875b064eu},
+              {"CG.node0001.bgpt", 0x198dcafbu},
+              {"CG.node0002.bgpc", 0x51358b2eu},
+              {"CG.node0002.bgps", 0xf1d6afdfu},
+              {"CG.node0002.bgpt", 0xdfaa72c7u},
+              {"CG.node0003.bgpc", 0xaa9fd35au},
+              {"CG.node0003.bgps", 0x5102dce8u},
+              {"CG.node0003.bgpt", 0xecd99749u},
+          }});
 }
-TEST(SchedDeterminism, FastPathDualFtKill3Parallel) {
-  expect_fast_matches_legacy(
+TEST(SchedDeterminism, GoldenVnmKill2Serial) {
+  expect_golden(
+      {.mode = sys::OpMode::kVnm, .deaths = 2},
+      {
+          .elapsed = 233651,
+          .dead_nodes = 4,
+          .recovery_events = 0,
+          .file_crcs = {
+              {"CG.node0000.bgpt.partial", 0x1dc7a6f4u},
+              {"CG.node0001.bgpt.partial", 0xc6df92ccu},
+              {"CG.node0002.bgpt.partial", 0x082f8018u},
+              {"CG.node0003.bgpt.partial", 0xfd883071u},
+          }});
+}
+TEST(SchedDeterminism, GoldenDualFtKill3Serial) {
+  expect_golden(
       {.mode = sys::OpMode::kDual, .nodes = 8, .deaths = 3, .ft = true},
-      rt::SchedMode::kParallel);
+      {
+          .elapsed = 285090,
+          .dead_nodes = 3,
+          .recovery_events = 8,
+          .file_crcs = {
+              {"CG.node0000.bgpc", 0x1eece8e0u},
+              {"CG.node0000.bgps", 0x63af742bu},
+              {"CG.node0000.bgpt", 0x2595e119u},
+              {"CG.node0001.bgpc", 0xf8d9e764u},
+              {"CG.node0001.bgps", 0x1adcffaau},
+              {"CG.node0001.bgpt", 0xfe8dd521u},
+              {"CG.node0002.bgpc", 0x20196781u},
+              {"CG.node0002.bgps", 0x91486329u},
+              {"CG.node0002.bgpt", 0xc9d1203bu},
+              {"CG.node0003.bgpt.partial", 0xfd883071u},
+              {"CG.node0004.bgpt.partial", 0x09fa1e06u},
+              {"CG.node0005.bgpt.partial", 0xd2e22a3eu},
+              {"CG.node0006.bgpc", 0x609337fdu},
+              {"CG.node0006.bgps", 0xac49b87fu},
+              {"CG.node0006.bgpt", 0x3f0b57c7u},
+              {"CG.node0007.bgpc", 0x78065988u},
+              {"CG.node0007.bgps", 0xa619dffbu},
+              {"CG.node0007.bgpt", 0xf2ddd9c0u},
+          }});
 }
 
 }  // namespace
