@@ -36,15 +36,16 @@ struct CompiledLoop {
   double mem_overlap = 1.0;
   /// Precomputed block event vector: the nonzero per-class instruction
   /// events of one invocation (FPU/LS/integer classes + INSTR_COMPLETED),
-  /// as *core-0* mode-0 ids in legacy signaling order. The compiler only
-  /// knows the ISA, so this is the canonical compile artifact; the
-  /// delivery-ready per-core variants below are derived from it.
+  /// as *core-0* mode-0 ids in class order. The compiler only knows the
+  /// ISA, so this is the canonical compile artifact; the delivery-ready
+  /// per-core variants below are derived from it.
   std::vector<isa::EventCount> events;
   /// Delivery-ready batches, one per core: `events` rebased onto core c's
-  /// mode-0 slice with the bundle's CYCLE_COUNT appended last (matching
-  /// the legacy emit order). Filled by Machine::compile_cached — computing
-  /// the cycle entry needs the CPU timing model, which the compiler layer
-  /// deliberately does not link — and left empty by Compiler::compile().
+  /// mode-0 slice with the bundle's CYCLE_COUNT appended last (the core's
+  /// clock advances once the bundle retires). Filled by
+  /// Machine::compile_cached — computing the cycle entry needs the CPU
+  /// timing model, which the compiler layer deliberately does not link —
+  /// and left empty by Compiler::compile().
   /// Cached per machine, so Core::execute_block hands the span straight
   /// to the event sink with zero per-call copying or rebasing.
   std::array<std::vector<isa::EventCount>, isa::kCoresPerNode> core_events;

@@ -106,8 +106,7 @@ class Cache final : public MemLevel {
 
   /// Read fast path: on hit, touch LRU, count the access, and return true;
   /// on miss return false having changed *nothing* — the caller falls back
-  /// to the virtual access(), which re-counts from the top exactly like
-  /// the legacy probe-then-access pair did.
+  /// to the virtual access(), which counts the access from the top.
   [[nodiscard]] bool read_hit_fast(addr_t addr, EventBatch& batch) noexcept {
     const addr_t line = fast_line_of(addr);
     const std::size_t base = std::size_t{fast_set_of(line)} * params_.assoc;
@@ -124,12 +123,12 @@ class Cache final : public MemLevel {
     return false;
   }
 
-  /// Write fast path for write-through / no-allocate caches: does the full
-  /// L1-side bookkeeping for a store (access + hit LRU touch or miss
-  /// count; neither case allocates) and reports whether it hit. The caller
-  /// forwards the write below either way — exactly what access() does for
-  /// this policy. Only call on caches with write_through or
-  /// !write_allocate.
+  /// Write fast path for write-through caches: does the full L1-side
+  /// bookkeeping for a store (access + hit LRU touch or miss count; neither
+  /// case allocates) and reports whether it hit. The caller forwards the
+  /// write below either way — exactly what access() does for this policy.
+  /// Only call on write_through caches: a write-back cache must mark the
+  /// hit line dirty and keep the write, which this does not do.
   [[nodiscard]] bool write_note_fast(addr_t addr, EventBatch& batch) noexcept {
     const addr_t line = fast_line_of(addr);
     const std::size_t base = std::size_t{fast_set_of(line)} * params_.assoc;

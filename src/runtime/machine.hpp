@@ -96,11 +96,6 @@ struct MachineConfig {
   /// this cap with a pointer at --sched=parallel (which needs one fiber
   /// per rank and worker threads only).
   unsigned max_rank_threads = 4096;
-  /// Deliver per-class instruction events one virtual sink call at a time
-  /// (the original path) instead of the precomputed per-block event
-  /// vector. Identical counter totals; exists for identity tests and the
-  /// before/after perf benches.
-  bool legacy_block_events = false;
 };
 
 class Machine {
@@ -118,6 +113,14 @@ class Machine {
   [[nodiscard]] const opt::Compiler& compiler() const noexcept {
     return compiler_;
   }
+
+  /// Lower `desc` under the machine's option set, memoized per Machine:
+  /// every rank re-lowers identical loop nests every timestep, so cache
+  /// the bundles keyed by the full LoopDesc contents (the OptConfig is
+  /// fixed for a Machine's lifetime and needs no key bits). Thread-safe;
+  /// the returned bundle lives as long as the Machine.
+  const opt::CompiledLoop& compile_cached(const isa::LoopDesc& desc);
+
   [[nodiscard]] const MachineConfig& config() const noexcept {
     return config_;
   }
@@ -339,12 +342,6 @@ class Machine {
   /// cycle. Called before a rank registers in any wait structure, so a
   /// dead rank is never counted as a collective arrival or left blocked.
   void check_fault(unsigned rank);
-
-  /// Lower `desc` under the machine's option set, memoized per Machine:
-  /// every rank re-lowers identical loop nests every timestep, so cache
-  /// the bundles keyed by the full LoopDesc contents (the OptConfig is
-  /// fixed for a Machine's lifetime and needs no key bits).
-  const opt::CompiledLoop& compile_cached(const isa::LoopDesc& desc);
 
   // -- fault-tolerance internals (FT mode only) ---------------------------
   /// Raise ft::RevokedError if the communicator is revoked (entry check of

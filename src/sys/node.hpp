@@ -26,10 +26,6 @@ struct BootOptions {
   /// Nodes per node card; card parity selects which half of the event space
   /// a node monitors (§IV's 512-events-in-one-run scheme).
   unsigned nodes_per_card = 2;
-  /// Route memory traffic through the original per-event virtual cache
-  /// walk instead of the devirtualized batched one (identical simulated
-  /// behaviour; exists for identity tests and before/after benches).
-  bool legacy_mem_walk = false;
 };
 
 /// One compute node.

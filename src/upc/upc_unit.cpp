@@ -21,6 +21,7 @@ CounterConfig CounterConfig::decode(u32 word) noexcept {
 
 UpcUnit::UpcUnit(addr_t mmio_base) noexcept : mmio_base_(mmio_base) {
   masks_.fill(~u64{0});
+  refresh_derived();
 }
 
 void UpcUnit::set_counter_width(u8 counter, unsigned bits) {

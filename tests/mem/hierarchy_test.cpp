@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace bgp::mem {
 namespace {
 
@@ -78,6 +80,31 @@ TEST(Hierarchy, WritesReachL3NotDdrWhileCapacityHolds) {
   EXPECT_EQ(h.ddr().total().write_reqs, 0u);
   // Reads for ownership (write-allocate fills) do hit DDR.
   EXPECT_GT(h.ddr().total().read_reqs, 0u);
+}
+
+/// The store walk implements the PPC450's write-through L1D only. A
+/// write-back L1D would keep store hits dirty in L1 instead of forwarding
+/// them to L2, so the hierarchy refuses it rather than miscount.
+TEST(Hierarchy, RejectsNonWriteThroughL1d) {
+  for (const bool allocate : {false, true}) {
+    HierarchyParams p;
+    p.prefetch.enabled = false;
+    p.l1d.write_through = false;
+    p.l1d.write_allocate = allocate;
+    EXPECT_THROW(MemoryHierarchy{p}, std::invalid_argument)
+        << "write_allocate=" << allocate;
+  }
+}
+
+TEST(Hierarchy, StoreHitsForwardEveryWriteToL2) {
+  HierarchyParams p;
+  p.prefetch.enabled = false;
+  MemoryHierarchy h{p};
+  h.read(0, 0x1000, 32, 0);
+  for (int i = 0; i < 10; ++i) h.write(0, 0x1000, 32, 0);
+  EXPECT_EQ(h.l1d(0).stats().write_access, 10u);
+  EXPECT_EQ(h.l1d(0).stats().write_miss, 0u);
+  EXPECT_EQ(h.l2(0).cache_stats().write_access, 10u);
 }
 
 TEST(Hierarchy, EvictedDirtyL3LinesProduceDdrWrites) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <numeric>
 
 #include "runtime/rankctx.hpp"
@@ -201,6 +202,49 @@ TEST(Machine, DeterministicElapsedTime) {
   const cycles_t b = run_once();
   EXPECT_EQ(a, b);
   EXPECT_GT(a, 0u);
+}
+
+/// What a core signals for a bundle is the compile cache's per-core batch,
+/// which Core::execute_block delivers as is: each non-zero op class under
+/// the core's own ids, INSTR_COMPLETED, and the bundle's CYCLE_COUNT last.
+TEST(Core, SignalsFpuAndCycleEvents) {
+  Machine m(small(1));
+  isa::LoopDesc d;
+  d.name = "signals";
+  d.trip = 1000;
+  d.body.fp_at(isa::FpOp::kAddSub) = 7;
+  d.body.ls_at(isa::LsOp::kLoadDouble) = 2;
+  d.body.int_at(isa::IntOp::kAlu) = 3;
+  d.vectorizable = 0.5;
+  const opt::CompiledLoop& cl = m.compile_cached(d);
+  constexpr unsigned c = 2;
+  const std::vector<isa::EventCount>& batch = cl.core_events[c];
+  std::map<isa::EventId, u64> got;
+  for (const isa::EventCount& e : batch) got[e.id] += e.count;
+
+  std::size_t classes = 0;
+  for (std::size_t i = 0; i < isa::kNumFpOps; ++i) {
+    if (cl.ops.fp[i] == 0) continue;
+    ++classes;
+    EXPECT_EQ(got[isa::ev::fpu_op(c, static_cast<isa::FpOp>(i))], cl.ops.fp[i]);
+  }
+  for (std::size_t i = 0; i < isa::kNumLsOps; ++i) {
+    if (cl.ops.ls[i] == 0) continue;
+    ++classes;
+    EXPECT_EQ(got[isa::ev::ls_op(c, static_cast<isa::LsOp>(i))], cl.ops.ls[i]);
+  }
+  for (std::size_t i = 0; i < isa::kNumIntOps; ++i) {
+    if (cl.ops.in[i] == 0) continue;
+    ++classes;
+    EXPECT_EQ(got[isa::ev::int_op(c, static_cast<isa::IntOp>(i))],
+              cl.ops.in[i]);
+  }
+  EXPECT_GT(classes, 2u);
+  EXPECT_EQ(got[isa::ev::instr_completed(c)], cl.ops.total_instructions());
+  ASSERT_EQ(batch.size(), classes + 2);  // + INSTR_COMPLETED + CYCLE_COUNT
+  EXPECT_EQ(batch.back().id, isa::ev::cycle_count(c));
+  EXPECT_EQ(batch.back().count,
+            cpu::Core::bundle_cycles(cl.ops, cpu::CoreParams{}));
 }
 
 }  // namespace

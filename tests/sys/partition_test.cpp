@@ -29,12 +29,12 @@ TEST(Node, HardwareEventsReachTheUpc) {
   Node n(0);
   n.upc().set_mode(0);
   n.upc().start();
-  n.core(2).execute([] {
-    isa::OpMix m;
-    m.fp_at(isa::FpOp::kSimdFma) = 42;
-    return m;
-  }());
-  const auto counter = isa::event_counter(isa::ev::fpu_op(2, isa::FpOp::kSimdFma));
+  const isa::EventId fma = isa::ev::fpu_op(2, isa::FpOp::kSimdFma);
+  isa::OpMix m;
+  m.fp_at(isa::FpOp::kSimdFma) = 42;
+  const isa::EventCount batch[] = {{fma, 42}};
+  n.core(2).execute_block(m, batch);
+  const auto counter = isa::event_counter(fma);
   EXPECT_EQ(n.upc().read(counter), 42u);
 }
 

@@ -21,6 +21,19 @@ TEST(UpcUnit, CountsOnlyWhileRunning) {
   EXPECT_EQ(u.read(isa::event_counter(e)), 5u);
 }
 
+/// A unit nobody has configured counts batched events like single ones:
+/// its default configs are enabled edge counters.
+TEST(UpcUnit, UnconfiguredUnitCountsBatches) {
+  UpcUnit u;
+  u.start();
+  const EventId e = ev::fpu_op(1, isa::FpOp::kSimdFma);
+  const isa::EventCount batch[] = {{e, 42}, {ev::instr_completed(1), 42}};
+  u.signal_batch(batch, std::size(batch));
+  u.signal(e, 1);
+  EXPECT_EQ(u.read(isa::event_counter(e)), 43u);
+  EXPECT_EQ(u.read(isa::event_counter(ev::instr_completed(1))), 42u);
+}
+
 TEST(UpcUnit, OnlyActiveModeCounts) {
   UpcUnit u;
   u.start();
