@@ -46,7 +46,7 @@ class BinaryWriter {
   }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
 
-  /// Write the accumulated buffer to `path`, replacing any existing file.
+  /// Write the accumulated buffer to `path` (see write_file_bytes).
   void write_file(const std::filesystem::path& path) const;
 
  private:
@@ -73,9 +73,7 @@ class BinaryReader {
 
   std::string get_string() {
     const u32 n = get<u32>();
-    if (pos_ + n > data_.size()) {
-      throw BinIoError("binary input truncated (string)");
-    }
+    need(n, "string");
     std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
     pos_ += n;
     return s;
@@ -83,6 +81,15 @@ class BinaryReader {
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;
+  }
+  /// Throw unless `bytes` more bytes remain: bounds a declared length
+  /// before anything is allocated for it.
+  void need(u64 bytes, const char* what) const {
+    if (bytes > remaining()) {
+      throw BinIoError(std::string(what) + ": " + std::to_string(bytes) +
+                       " bytes declared, only " +
+                       std::to_string(remaining()) + " remain");
+    }
   }
   /// Raw input bytes [begin, end) — e.g. to checksum an already-read span.
   [[nodiscard]] std::span<const std::byte> window(std::size_t begin,
@@ -102,5 +109,20 @@ class BinaryReader {
 
 /// Read a whole file into a byte vector; throws BinIoError on failure.
 std::vector<std::byte> read_file_bytes(const std::filesystem::path& path);
+
+/// Write `bytes` to `path`, replacing any existing file. Throws BinIoError
+/// unless every byte reached the file and it closed cleanly.
+void write_file_bytes(const std::filesystem::path& path,
+                      std::span<const std::byte> bytes);
+
+/// write(2) all of `bytes` to `fd`, retrying short writes and EINTR.
+/// Returns 0, or the errno that stopped it. Async-signal-safe.
+int write_all(int fd, std::span<const std::byte> bytes) noexcept;
+
+/// Atomic publication: write `<path>.tmp`, then rename it over `path`, so
+/// readers never observe a half-written file. On failure the temp file is
+/// removed and BinIoError is thrown.
+void publish_file(const std::filesystem::path& path,
+                  std::span<const std::byte> bytes);
 
 }  // namespace bgp

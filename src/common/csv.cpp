@@ -1,7 +1,6 @@
 #include "common/csv.hpp"
 
-#include <fstream>
-#include <stdexcept>
+#include "common/binio.hpp"
 
 namespace bgp {
 
@@ -36,11 +35,7 @@ void CsvWriter::row(const std::vector<std::string>& cells) {
 }
 
 void CsvWriter::write_file(const std::filesystem::path& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("cannot open for write: " + path.string());
-  }
-  out << text_;
+  write_file_bytes(path, std::as_bytes(std::span(text_)));
 }
 
 }  // namespace bgp

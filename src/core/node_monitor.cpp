@@ -3,7 +3,7 @@
 #include <stdexcept>
 
 #include "common/binio.hpp"
-#include "common/crc.hpp"
+#include "common/framing.hpp"
 #include "common/strfmt.hpp"
 #include "fault/fault.hpp"
 
@@ -143,9 +143,7 @@ std::vector<std::byte> NodeMonitor::serialize(const NodeDump& dump,
   w.put<u32>(dump.counter_mode);
   w.put_string(dump.app_name);
   w.put<u32>(static_cast<u32>(dump.sets.size()));
-  if (version >= 2) {
-    w.put<u32>(crc32(std::span(w.buffer()).subspan(header_begin)));
-  }
+  if (version >= 2) put_section_crc(w, header_begin);
   for (const SetDump& s : dump.sets) {
     const std::size_t set_begin = w.size();
     w.put<u32>(s.set_id);
@@ -153,9 +151,7 @@ std::vector<std::byte> NodeMonitor::serialize(const NodeDump& dump,
     w.put<u64>(s.first_start_cycle);
     w.put<u64>(s.last_stop_cycle);
     for (u64 d : s.deltas) w.put<u64>(d);
-    if (version >= 2) {
-      w.put<u32>(crc32(std::span(w.buffer()).subspan(set_begin)));
-    }
+    if (version >= 2) put_section_crc(w, set_begin);
   }
   if (version >= kDumpVersionFt) {
     const std::size_t rec_begin = w.size();
@@ -168,7 +164,7 @@ std::vector<std::byte> NodeMonitor::serialize(const NodeDump& dump,
       w.put<u64>(e.cost);
       w.put<u64>(e.aux);
     }
-    w.put<u32>(crc32(std::span(w.buffer()).subspan(rec_begin)));
+    put_section_crc(w, rec_begin);
   }
   return w.buffer();
 }
@@ -184,17 +180,6 @@ NodeDump NodeMonitor::parse(std::span<const std::byte> bytes) {
     throw BinIoError(strfmt("unsupported BGPC dump version %u", version));
   }
   const bool checksummed = version >= 2;
-  const auto verify_crc = [&r](const char* what, std::size_t begin) {
-    const u32 computed = crc32(r.window(begin, r.position()));
-    const std::size_t crc_at = r.position();
-    const u32 stored = r.get<u32>();
-    if (stored != computed) {
-      throw BinIoError(
-          strfmt("%s CRC mismatch over bytes %zu..%zu (stored %08X, "
-                 "computed %08X)",
-                 what, begin, crc_at, stored, computed));
-    }
-  };
 
   NodeDump dump;
   const std::size_t header_begin = r.position();
@@ -206,38 +191,29 @@ NodeDump NodeMonitor::parse(std::span<const std::byte> bytes) {
   }
   dump.app_name = r.get_string();
   const u32 nsets = r.get<u32>();
-  if (checksummed) verify_crc("header", header_begin);
+  if (checksummed) check_section_crc(r, header_begin, "header");
 
   const std::size_t per_set =
       kSetRecordBytes + (checksummed ? sizeof(u32) : 0);
-  if (static_cast<u64>(nsets) * per_set > r.remaining()) {
-    throw BinIoError(
-        strfmt("corrupt dump: header claims %u sets (%llu bytes) but only "
-               "%zu bytes remain",
-               nsets, static_cast<unsigned long long>(u64{nsets} * per_set),
-               r.remaining()));
-  }
+  r.need(u64{nsets} * per_set, "corrupt dump: sets");
   dump.sets.resize(nsets);
-  for (SetDump& s : dump.sets) {
+  for (std::size_t i = 0; i < nsets; ++i) {
+    SetDump& s = dump.sets[i];
     const std::size_t set_begin = r.position();
     s.set_id = r.get<u32>();
     s.pairs = r.get<u32>();
     s.first_start_cycle = r.get<u64>();
     s.last_stop_cycle = r.get<u64>();
     for (u64& d : s.deltas) d = r.get<u64>();
-    if (checksummed) verify_crc("set", set_begin);
+    if (checksummed) check_section_crc(r, set_begin, strfmt("set %zu", i));
   }
   if (version >= kDumpVersionFt) {
     constexpr std::size_t kRecoveryRecordBytes =
         sizeof(u32) * 3 + sizeof(u64) * 3;
     const std::size_t rec_begin = r.position();
     const u32 nrec = r.get<u32>();
-    if (u64{nrec} * kRecoveryRecordBytes + sizeof(u32) > r.remaining()) {
-      throw BinIoError(
-          strfmt("corrupt dump: recovery section claims %u events but only "
-                 "%zu bytes remain",
-                 nrec, r.remaining()));
-    }
+    r.need(u64{nrec} * kRecoveryRecordBytes + sizeof(u32),
+           "corrupt dump: recovery events");
     dump.recovery.resize(nrec);
     for (ft::RecoveryEvent& e : dump.recovery) {
       const u32 kind = r.get<u32>();
@@ -252,7 +228,7 @@ NodeDump NodeMonitor::parse(std::span<const std::byte> bytes) {
       e.cost = r.get<u64>();
       e.aux = r.get<u64>();
     }
-    verify_crc("recovery", rec_begin);
+    check_section_crc(r, rec_begin, "recovery");
   }
   if (!r.at_end()) {
     throw BinIoError("corrupt dump: trailing bytes");

@@ -183,31 +183,23 @@ DumpWriteOutcome Session::write_dump_file(const NodeDump& dump,
     outcome.injected = options_.fault->corrupt_dump(node, bytes);
   }
 
-  // Atomic publication: write a temp file, then rename over the final name,
-  // so readers never observe a half-written .bgpc. Injected I/O errors are
-  // retried with a bounded budget; a node whose budget runs out loses its
-  // dump and the run continues (the miner handles the gap).
-  std::filesystem::path tmp = outcome.path;
-  tmp += ".tmp";
+  // Published atomically: readers never see a half-written .bgpc. I/O
+  // errors are retried with a bounded budget; a node whose budget runs out
+  // loses its dump and the run continues (the miner handles the gap).
   for (unsigned attempt = 1; attempt <= options_.dump_write_retries + 1;
        ++attempt) {
     outcome.attempts = attempt;
     try {
       if (options_.fault != nullptr && options_.fault->next_write_fails(node)) {
-        throw BinIoError(
-            strfmt("injected I/O error writing %s", tmp.string().c_str()));
+        throw BinIoError(strfmt("injected I/O error writing %s",
+                                outcome.path.string().c_str()));
       }
-      BinaryWriter w;
-      w.put_bytes(bytes);
-      w.write_file(tmp);
-      std::filesystem::rename(tmp, outcome.path);
+      publish_file(outcome.path, bytes);
       outcome.ok = true;
       outcome.error.clear();
       break;
     } catch (const std::exception& e) {
       outcome.error = e.what();
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
     }
   }
   write_outcomes_.push_back(outcome);

@@ -5,6 +5,7 @@
 
 #include <utility>
 
+#include "common/binio.hpp"
 #include "common/strfmt.hpp"
 
 namespace bgp::daemon {
@@ -107,11 +108,8 @@ HostObs::HostObs(obs::MetricsRegistry& reg, std::filesystem::path work_dir,
                           O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
     if (fd >= 0) {
       for (const std::string& line : ring_->salvaged()) {
-        std::string framed = line + "\n";
-        ssize_t n;
-        do {
-          n = ::write(fd, framed.data(), framed.size());
-        } while (n < 0 && errno == EINTR);
+        const std::string framed = line + "\n";
+        (void)write_all(fd, std::as_bytes(std::span(framed)));
       }
       ::close(fd);
     }

@@ -9,7 +9,7 @@
 #include <cstring>
 
 #include "common/binio.hpp"
-#include "common/crc.hpp"
+#include "common/framing.hpp"
 #include "common/strfmt.hpp"
 #include "fault/fault.hpp"
 #include "obs/host_clock.hpp"
@@ -18,28 +18,10 @@ namespace bgp::daemon {
 
 namespace {
 
-std::vector<std::byte> journal_header_bytes() {
-  std::vector<std::byte> out(kJournalHeaderBytes);
-  std::memcpy(out.data(), kJournalMagic, sizeof(kJournalMagic));
-  const u32 version = kJournalVersion;
-  std::memcpy(out.data() + sizeof(kJournalMagic), &version, sizeof(version));
-  return out;
-}
-
-/// write() the whole buffer, retrying short writes and real EINTR.
-/// Returns an errno on failure, 0 on success.
-int write_fully(int fd, const std::byte* data, std::size_t len) {
-  std::size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::write(fd, data + done, len - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return errno;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return 0;
-}
+/// Why replay stops at a frame, by FrameStatus.
+constexpr const char* kFrameProblem[] = {
+    "", "torn frame header", "bad frame length", "torn frame",
+    "frame checksum mismatch"};
 
 }  // namespace
 
@@ -66,13 +48,8 @@ JournalRecord JournalRecord::from_json(const json::Value& v) {
 
 std::vector<std::byte> encode_journal_frame(const JournalRecord& rec) {
   const std::string payload = rec.to_json().dump();
-  const auto* p = reinterpret_cast<const std::byte*>(payload.data());
-  const u32 len = static_cast<u32>(payload.size());
-  const u32 crc = crc32({p, payload.size()});
-  std::vector<std::byte> frame(8 + payload.size());
-  std::memcpy(frame.data(), &len, 4);
-  std::memcpy(frame.data() + 4, &crc, 4);
-  std::memcpy(frame.data() + 8, p, payload.size());
+  std::vector<std::byte> frame(kFrameHeaderBytes + payload.size());
+  encode_frame(std::as_bytes(std::span(payload)), frame.data());
   return frame;
 }
 
@@ -87,8 +64,9 @@ JournalReplay replay_journal(const std::filesystem::path& path) {
     // an empty journal.
     return out;
   }
-  if (bytes.size() >= sizeof(kJournalMagic) &&
-      std::memcmp(bytes.data(), kJournalMagic, sizeof(kJournalMagic)) != 0) {
+  // A file shorter than the magic is ours only if it is a prefix of it.
+  if (std::memcmp(bytes.data(), kJournalMagic,
+                  std::min(bytes.size(), sizeof(kJournalMagic))) != 0) {
     throw JournalError(
         strfmt("%s is not a bgpcd journal (bad magic)", path.c_str()));
   }
@@ -107,29 +85,23 @@ JournalReplay replay_journal(const std::filesystem::path& path) {
   }
 
   std::size_t off = kJournalHeaderBytes;
-  while (off + 8 <= bytes.size()) {
-    u32 len = 0;
-    u32 crc = 0;
-    std::memcpy(&len, bytes.data() + off, 4);
-    std::memcpy(&crc, bytes.data() + off + 4, 4);
-    if (len == 0 || len > kJournalMaxRecordBytes) {
-      out.tail_error = strfmt("bad frame length %u at offset %zu", len, off);
-      break;
-    }
-    if (off + 8 + len > bytes.size()) {
-      out.tail_error = strfmt("torn frame at offset %zu (%zu of %u payload "
-                              "bytes present)",
-                              off, bytes.size() - off - 8, len);
-      break;
-    }
-    const std::span<const std::byte> payload{bytes.data() + off + 8, len};
-    if (crc32(payload) != crc) {
-      out.tail_error = strfmt("frame checksum mismatch at offset %zu", off);
+  while (off < bytes.size()) {
+    const Frame f =
+        decode_frame(std::span(bytes).subspan(off), kJournalMaxRecordBytes);
+    // An empty payload is never a record: zeroed space past a crash.
+    const FrameStatus status = f.len == 0 && f.status == FrameStatus::kOk
+                                   ? FrameStatus::kTooLong
+                                   : f.status;
+    if (status != FrameStatus::kOk) {
+      out.tail_error =
+          strfmt("%s at offset %zu (length %u, %zu byte(s) left)",
+                 kFrameProblem[static_cast<int>(status)], off, f.len,
+                 bytes.size() - off);
       break;
     }
     try {
       const std::string_view text{
-          reinterpret_cast<const char*>(payload.data()), payload.size()};
+          reinterpret_cast<const char*>(f.payload.data()), f.payload.size()};
       out.records.push_back(JournalRecord::from_json(json::Value::parse(text)));
     } catch (const json::JsonError& e) {
       // A CRC-valid frame with unparseable JSON can only be corruption that
@@ -138,10 +110,7 @@ JournalReplay replay_journal(const std::filesystem::path& path) {
           strfmt("unparseable record at offset %zu: %s", off, e.what());
       break;
     }
-    off += 8 + len;
-  }
-  if (off + 8 > bytes.size() && off < bytes.size() && out.tail_error.empty()) {
-    out.tail_error = strfmt("torn frame header at offset %zu", off);
+    off += kFrameHeaderBytes + f.len;
   }
   out.valid_bytes = off;
   out.dropped_bytes = bytes.size() - off;
@@ -153,37 +122,27 @@ JournalWriter::JournalWriter(std::filesystem::path path,
     : path_(std::move(path)), faults_(faults) {
   recovered_ = replay_journal(path_);  // throws JournalError on foreign files
 
+  const auto fail = [this](const char* what, int err) {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+    throw JournalWriteError(
+        strfmt("cannot %s journal %s: %s", what, path_.c_str(),
+               ::strerror(err)));
+  };
   fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd_ < 0) {
-    throw JournalWriteError(strfmt("cannot open journal %s: %s", path_.c_str(),
-                                   ::strerror(errno)));
-  }
+  if (fd_ < 0) fail("open", errno);
   // Drop any torn tail so post-crash appends land on a frame boundary; the
   // header counts as valid bytes 0 only when the file was empty/torn.
-  const off_t keep = static_cast<off_t>(
-      std::max(recovered_.valid_bytes, std::size_t{0}));
-  if (::ftruncate(fd_, keep) != 0) {
-    const int err = errno;
-    ::close(fd_);
-    fd_ = -1;
-    throw JournalWriteError(strfmt("cannot truncate journal %s: %s",
-                                   path_.c_str(), ::strerror(err)));
+  if (::ftruncate(fd_, static_cast<off_t>(recovered_.valid_bytes)) != 0) {
+    fail("truncate", errno);
   }
-  if (::lseek(fd_, 0, SEEK_END) < 0) {
-    const int err = errno;
-    ::close(fd_);
-    fd_ = -1;
-    throw JournalWriteError(strfmt("cannot seek journal %s: %s", path_.c_str(),
-                                   ::strerror(err)));
-  }
+  if (::lseek(fd_, 0, SEEK_END) < 0) fail("seek", errno);
   if (recovered_.valid_bytes < kJournalHeaderBytes) {
-    const std::vector<std::byte> header = journal_header_bytes();
-    const int err = write_fully(fd_, header.data(), header.size());
-    if (err != 0) {
-      ::close(fd_);
-      fd_ = -1;
-      throw JournalWriteError(strfmt("cannot write journal header %s: %s",
-                                     path_.c_str(), ::strerror(err)));
+    BinaryWriter header;
+    header.put_bytes(std::as_bytes(std::span(kJournalMagic)));
+    header.put<u32>(kJournalVersion);
+    if (const int err = write_all(fd_, header.buffer())) {
+      fail("write header of", err);
     }
   }
 }
@@ -209,7 +168,7 @@ void JournalWriter::append(const JournalRecord& rec) {
       case JF::Kind::kNone:
         break;
       case JF::Kind::kEintr:
-        // A real EINTR is retried inside write_fully; the injected one just
+        // A real EINTR is retried inside write_all; the injected one just
         // exercises that the caller-visible behavior is "append succeeded".
         break;
       case JF::Kind::kTorn: {
@@ -217,7 +176,7 @@ void JournalWriter::append(const JournalRecord& rec) {
         // append leaves behind, then report the append as failed.
         const std::size_t keep =
             std::min<std::size_t>(f.keep_bytes, frame.size());
-        (void)write_fully(fd_, frame.data(), keep);
+        (void)write_all(fd_, std::span(frame).first(keep));
         throw JournalWriteError("injected torn journal append");
       }
       case JF::Kind::kError:
@@ -229,7 +188,7 @@ void JournalWriter::append(const JournalRecord& rec) {
   }
 
   obs::HostTimer timer;
-  const int err = write_fully(fd_, frame.data(), frame.size());
+  const int err = write_all(fd_, frame);
   timer.observe(t_write_);
   if (err != 0) {
     throw JournalWriteError(strfmt("journal append failed: %s",

@@ -8,7 +8,8 @@
 // On-disk layout (single file, append-only):
 //
 //   header   magic "BGPJRNL\0" + u32 version
-//   frame[]  u32 payload_len | u32 crc32(payload) | payload
+//   frame[]  u32 payload_len (> 0) | u32 CRC32 of payload | payload
+//            (the length-prefixed frame of common/framing.hpp)
 //
 // where each payload is one compact JSON object ({"op","session","body"}).
 // A crash can tear the final frame (short write) or leave garbage past the
@@ -91,7 +92,8 @@ struct JournalReplay {
 
 /// Replay a journal. A missing file is an empty journal; a file with a
 /// foreign magic or unsupported version throws JournalError (never
-/// clobber something that isn't ours). Torn tails are tolerated and
+/// clobber something that isn't ours), and so does a file shorter than
+/// the magic that is not a prefix of it. Torn tails are tolerated and
 /// reported, never fatal.
 [[nodiscard]] JournalReplay replay_journal(const std::filesystem::path& path);
 

@@ -245,13 +245,7 @@ unsigned Service::salvage_session(ActiveSession& s) {
       const std::filesystem::path path =
           dir / strfmt("%s.node%04u.bgpc", dump.app_name.c_str(),
                        dump.node_id);
-      // Same atomic temp+rename publication as the live dump path.
-      std::filesystem::path tmp = path;
-      tmp += ".tmp";
-      BinaryWriter w;
-      w.put_bytes(bytes);
-      w.write_file(tmp);
-      std::filesystem::rename(tmp, path);
+      publish_file(path, bytes);  // same atomic publish as the live path
       ++written;
       salvaged_dumps_->add();
     }

@@ -1,10 +1,9 @@
 #include "obs/chrome_trace.hpp"
 
-#include <fstream>
 #include <set>
-#include <stdexcept>
 #include <utility>
 
+#include "common/binio.hpp"
 #include "common/strfmt.hpp"
 #include "common/types.hpp"
 #include "obs/obs.hpp"
@@ -107,13 +106,8 @@ void write_chrome_trace_file(const std::filesystem::path& path,
                              std::span<const SpanRec> spans,
                              std::span<const InstantRec> instants,
                              std::string_view app) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << render_chrome_trace(spans, instants, app);
-  out.flush();
-  if (!out) {
-    throw std::runtime_error(
-        strfmt("failed to write %s", path.string().c_str()));
-  }
+  const std::string text = render_chrome_trace(spans, instants, app);
+  write_file_bytes(path, std::as_bytes(std::span(text)));
 }
 
 void write_chrome_trace_file(const std::filesystem::path& path,

@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,7 +11,8 @@
 #include <span>
 #include <system_error>
 
-#include "common/crc.hpp"
+#include "common/binio.hpp"
+#include "common/framing.hpp"
 
 namespace bgp::obs {
 
@@ -27,8 +27,9 @@ constexpr std::size_t kOffClean = 20;
 constexpr std::size_t kOffHead = 24;
 constexpr std::size_t kHeaderBytes = 32;
 
-// Slot frame: u64 seq, u32 len, u32 crc, then text.
-constexpr std::size_t kSlotFrameBytes = 16;
+// Slot: u64 seq, then one frame (u32 len, u32 crc, text).
+constexpr std::size_t kSeqBytes = sizeof(u64);
+constexpr std::size_t kSlotFrameBytes = kSeqBytes + kFrameHeaderBytes;
 
 template <typename T>
 T load_raw(const std::byte* base, std::size_t off) noexcept {
@@ -46,20 +47,38 @@ void store_raw(std::byte* base, std::size_t off, T v) noexcept {
   return std::atomic_ref<u64>(*reinterpret_cast<u64*>(slot));
 }
 
-/// Validate one slot frame without allocating (async-signal-safe).
-/// On success points `text`/`len` into the mapping.
+/// Validate one slot without allocating (async-signal-safe). On success
+/// `text` views the record inside the mapping.
 bool slot_ok(const std::byte* slot, u32 slot_bytes, u64& seq,
-             const char*& text, u32& len) noexcept {
+             std::span<const std::byte>& text) noexcept {
   seq = std::atomic_ref<const u64>(*reinterpret_cast<const u64*>(slot))
             .load(std::memory_order_acquire);
   if (seq == 0) return false;
-  len = load_raw<u32>(slot, 8);
-  if (len > slot_bytes - kSlotFrameBytes) return false;
-  const u32 crc = load_raw<u32>(slot, 12);
-  const auto* body = slot + kSlotFrameBytes;
-  if (crc32(std::span<const std::byte>(body, len)) != crc) return false;
-  text = reinterpret_cast<const char*>(body);
+  const Frame f = decode_frame({slot + kSeqBytes, slot_bytes - kSeqBytes},
+                               slot_bytes - kSlotFrameBytes);
+  if (f.status != FrameStatus::kOk) return false;
+  text = f.payload;
   return true;
+}
+
+/// The valid records of `num_slots` slots at `slots`, oldest first.
+std::vector<std::string> records_in_order(const std::byte* slots,
+                                          u32 slot_bytes, u32 num_slots) {
+  std::vector<std::pair<u64, std::string>> found;
+  for (u32 i = 0; i < num_slots; ++i) {
+    u64 seq = 0;
+    std::span<const std::byte> text;
+    if (slot_ok(slots + static_cast<std::size_t>(i) * slot_bytes, slot_bytes,
+                seq, text)) {
+      const auto* chars = reinterpret_cast<const char*>(text.data());
+      found.emplace_back(seq, std::string(chars, text.size()));
+    }
+  }
+  std::sort(found.begin(), found.end());
+  std::vector<std::string> out;
+  out.reserve(found.size());
+  for (auto& [seq, text] : found) out.push_back(std::move(text));
+  return out;
 }
 
 [[nodiscard]] u32 round_up8(u32 v) noexcept { return (v + 7u) & ~7u; }
@@ -72,56 +91,24 @@ void throw_errno(const char* what) {
 
 std::vector<std::string> salvage_flight_ring(
     const std::filesystem::path& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return {};
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 ||
-      st.st_size < static_cast<off_t>(kHeaderBytes)) {
-    ::close(fd);
+  std::vector<std::byte> buf;
+  try {
+    buf = read_file_bytes(path);
+  } catch (const BinIoError&) {
     return {};
   }
-  std::vector<std::byte> buf(static_cast<std::size_t>(st.st_size));
-  std::size_t got = 0;
-  while (got < buf.size()) {
-    const ssize_t n = ::pread(fd, buf.data() + got, buf.size() - got,
-                              static_cast<off_t>(got));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    got += static_cast<std::size_t>(n);
-  }
-  ::close(fd);
-  if (got < kHeaderBytes) return {};
+  if (buf.size() < kHeaderBytes) return {};
 
   const std::byte* base = buf.data();
   if (std::memcmp(base, kFlightMagic, sizeof(kFlightMagic)) != 0) return {};
   if (load_raw<u32>(base, kOffVersion) != kFlightVersion) return {};
   const u32 slot_bytes = load_raw<u32>(base, kOffSlotBytes);
   const u32 num_slots = load_raw<u32>(base, kOffNumSlots);
-  if (slot_bytes < kSlotFrameBytes + 1 || slot_bytes > (1u << 20) ||
-      num_slots == 0 || num_slots > (1u << 20)) {
-    return {};
-  }
+  if (slot_bytes <= kSlotFrameBytes) return {};
   if (load_raw<u32>(base, kOffClean) != 0) return {};  // clean close: no crash
-  const std::size_t need =
-      kHeaderBytes + static_cast<std::size_t>(slot_bytes) * num_slots;
-  if (got < need) return {};
-
-  std::vector<std::pair<u64, std::string>> found;
-  for (u32 i = 0; i < num_slots; ++i) {
-    const std::byte* slot = base + kHeaderBytes +
-                            static_cast<std::size_t>(i) * slot_bytes;
-    u64 seq = 0;
-    u32 len = 0;
-    const char* text = nullptr;
-    if (slot_ok(slot, slot_bytes, seq, text, len)) {
-      found.emplace_back(seq, std::string(text, len));
-    }
-  }
-  std::sort(found.begin(), found.end());
-  std::vector<std::string> out;
-  out.reserve(found.size());
-  for (auto& [seq, text] : found) out.push_back(std::move(text));
-  return out;
+  // The declared geometry must fit in the bytes actually present.
+  if (buf.size() < kHeaderBytes + u64{slot_bytes} * num_slots) return {};
+  return records_in_order(base + kHeaderBytes, slot_bytes, num_slots);
 }
 
 FlightRing::FlightRing(FlightRingConfig cfg) : cfg_(std::move(cfg)) {
@@ -129,11 +116,8 @@ FlightRing::FlightRing(FlightRingConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.num_slots = std::max<u32>(cfg_.num_slots, 8);
 
   // A pre-existing dirty ring is crash evidence: salvage before reset.
-  std::error_code ec;
-  if (std::filesystem::exists(cfg_.path, ec)) {
-    salvaged_ = salvage_flight_ring(cfg_.path);
-    recovered_dirty_ = !salvaged_.empty();
-  }
+  salvaged_ = salvage_flight_ring(cfg_.path);
+  recovered_dirty_ = !salvaged_.empty();
 
   map_bytes_ = kHeaderBytes +
                static_cast<std::size_t>(cfg_.slot_bytes) * cfg_.num_slots;
@@ -152,14 +136,13 @@ FlightRing::FlightRing(FlightRingConfig cfg) : cfg_(std::move(cfg)) {
   if (p == MAP_FAILED) throw_errno("flight ring mmap");
   map_ = static_cast<std::byte*>(p);
 
-  // Reset: fresh header, dirty while open, all slots empty.
+  // Reset: all zero (dirty while open, head 0, every slot empty), then a
+  // fresh header.
   std::memset(map_, 0, map_bytes_);
   std::memcpy(map_ + kOffMagic, kFlightMagic, sizeof(kFlightMagic));
   store_raw<u32>(map_, kOffVersion, kFlightVersion);
   store_raw<u32>(map_, kOffSlotBytes, cfg_.slot_bytes);
   store_raw<u32>(map_, kOffNumSlots, cfg_.num_slots);
-  store_raw<u32>(map_, kOffClean, 0);
-  store_raw<u64>(map_, kOffHead, 0);
 }
 
 FlightRing::~FlightRing() {
@@ -182,9 +165,7 @@ u64 FlightRing::head() const noexcept {
 }
 
 void FlightRing::append(std::string_view line) noexcept {
-  const u32 capacity = cfg_.slot_bytes - kSlotFrameBytes;
-  const u32 len =
-      static_cast<u32>(std::min<std::size_t>(line.size(), capacity));
+  line = line.substr(0, cfg_.slot_bytes - kSlotFrameBytes);  // slot capacity
 
   std::lock_guard lk(mu_);
   std::atomic_ref<u64> head(*reinterpret_cast<u64*>(map_ + kOffHead));
@@ -195,78 +176,32 @@ void FlightRing::append(std::string_view line) noexcept {
   // old record (CRC-valid), an empty slot, or a CRC-invalid torn body —
   // never a wrong-but-valid record.
   seq_ref(slot).store(0, std::memory_order_release);
-  store_raw<u32>(slot, 8, len);
-  store_raw<u32>(
-      slot, 12,
-      crc32(std::span<const std::byte>(
-          reinterpret_cast<const std::byte*>(line.data()), len)));
-  std::memcpy(slot + kSlotFrameBytes, line.data(), len);
+  encode_frame(std::as_bytes(std::span(line)), slot + kSeqBytes);
   seq_ref(slot).store(claim + 1, std::memory_order_release);
   head.store(claim + 1, std::memory_order_release);
 }
 
-bool FlightRing::read_slot(u64 index, u64& seq, std::string& text) const {
-  const std::byte* slot = slot_base(index);
-  u32 len = 0;
-  const char* body = nullptr;
-  if (!slot_ok(slot, cfg_.slot_bytes, seq, body, len)) return false;
-  text.assign(body, len);
-  return true;
-}
-
 std::vector<std::string> FlightRing::records() const {
   std::lock_guard lk(mu_);
-  std::vector<std::pair<u64, std::string>> found;
-  for (u32 i = 0; i < cfg_.num_slots; ++i) {
-    u64 seq = 0;
-    std::string text;
-    if (read_slot(i, seq, text)) found.emplace_back(seq, std::move(text));
-  }
-  std::sort(found.begin(), found.end());
-  std::vector<std::string> out;
-  out.reserve(found.size());
-  for (auto& [seq, text] : found) out.push_back(std::move(text));
-  return out;
+  return records_in_order(slot_base(0), cfg_.slot_bytes, cfg_.num_slots);
 }
 
 void FlightRing::dump_signal_safe(int fd) const noexcept {
   if (map_ == nullptr) return;
-  // No allocation, no locks, only write(2): scan for the live sequence
-  // range, then emit records in order by rescanning per sequence number
-  // (O(slots^2) worst case — irrelevant on the way down).
-  u64 lo = ~u64{0};
-  u64 hi = 0;
-  for (u32 i = 0; i < cfg_.num_slots; ++i) {
+  // No allocation, no locks, only write(2). Sequence s lives in slot
+  // (s - 1) % num_slots: walk the window ending one past the head (a
+  // record published just before its head update), skipping slots whose
+  // sequence does not match (empty, overwritten, torn).
+  const u64 end = head() + 1;
+  for (u64 s = end > cfg_.num_slots ? end - cfg_.num_slots : 1; s <= end;
+       ++s) {
     u64 seq = 0;
-    u32 len = 0;
-    const char* text = nullptr;
-    if (slot_ok(slot_base(i), cfg_.slot_bytes, seq, text, len)) {
-      lo = std::min(lo, seq);
-      hi = std::max(hi, seq);
+    std::span<const std::byte> text;
+    if (!slot_ok(slot_base(s - 1), cfg_.slot_bytes, seq, text) || seq != s) {
+      continue;
     }
-  }
-  if (lo > hi) return;
-  if (hi - lo >= cfg_.num_slots) hi = lo + cfg_.num_slots - 1;
-  for (u64 s = lo; s <= hi; ++s) {
-    for (u32 i = 0; i < cfg_.num_slots; ++i) {
-      u64 seq = 0;
-      u32 len = 0;
-      const char* text = nullptr;
-      if (!slot_ok(slot_base(i), cfg_.slot_bytes, seq, text, len)) continue;
-      if (seq != s) continue;
-      std::size_t off = 0;
-      while (off < len) {
-        const ssize_t n = ::write(fd, text + off, len - off);
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) return;
-        off += static_cast<std::size_t>(n);
-      }
-      ssize_t n;
-      do {
-        n = ::write(fd, "\n", 1);
-      } while (n < 0 && errno == EINTR);
-      break;
-    }
+    if (write_all(fd, text) != 0) return;
+    (void)write_all(fd, std::as_bytes(std::span("\n", 1)));
   }
 }
 

@@ -10,8 +10,8 @@
 // Layout (little-endian, u64-aligned):
 //   Header  magic "BGPFRNG\0", version, slot_bytes, num_slots,
 //           clean flag (1 after a clean close), head sequence
-//   Slot[]  { u64 seq (0 = empty, else claim+1), u32 len, u32 crc32,
-//             char text[slot_bytes - 16] }
+//   Slot[]  { u64 seq (0 = empty, else claim+1), u32 len, u32 CRC32 of
+//             text, char text[slot_bytes - 16] } (common/framing.hpp frame)
 #pragma once
 
 #include <filesystem>
@@ -75,8 +75,6 @@ class FlightRing {
 
  private:
   [[nodiscard]] std::byte* slot_base(u64 index) const noexcept;
-  /// Validate + copy out one slot; empty string when invalid/empty.
-  [[nodiscard]] bool read_slot(u64 index, u64& seq, std::string& text) const;
 
   FlightRingConfig cfg_;
   std::byte* map_ = nullptr;

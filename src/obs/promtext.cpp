@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 
+#include "common/binio.hpp"
 #include "common/strfmt.hpp"
 
 namespace bgp::obs {
@@ -137,13 +137,8 @@ std::string render_prometheus(const MetricsRegistry& reg) {
 
 void write_prometheus_file(const std::filesystem::path& path,
                            const MetricsRegistry& reg) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << render_prometheus(reg);
-  out.flush();
-  if (!out) {
-    throw std::runtime_error(
-        strfmt("failed to write %s", path.string().c_str()));
-  }
+  const std::string text = render_prometheus(reg);
+  write_file_bytes(path, std::as_bytes(std::span(text)));
 }
 
 PromSample parse_prometheus_sample(std::string_view line) {

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/binio.hpp"
 #include "common/strfmt.hpp"
 #include "obs/obs.hpp"
 
@@ -38,30 +39,26 @@ std::filesystem::path span_file_path(const std::filesystem::path& dir,
 void write_span_file(const std::filesystem::path& path, std::string_view app,
                      unsigned node, std::span<const SpanRec> spans,
                      std::span<const InstantRec> instants, u64 dropped) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << strfmt("bgpspans %u %s node=%u spans=%zu instants=%zu dropped=%llu\n",
-                kSpanFormatVersion, sanitize(app).c_str(), node, spans.size(),
-                instants.size(), static_cast<unsigned long long>(dropped));
+  std::string text =
+      strfmt("bgpspans %u %s node=%u spans=%zu instants=%zu dropped=%llu\n",
+             kSpanFormatVersion, sanitize(app).c_str(), node, spans.size(),
+             instants.size(), static_cast<unsigned long long>(dropped));
   for (const SpanRec& s : spans) {
-    out << strfmt("S %s %s %u %u %llu %llu %llu %llu\n",
-                  sanitize(s.name).c_str(),
-                  std::string(to_string(s.cat)).c_str(), s.core, s.depth,
-                  static_cast<unsigned long long>(s.begin_cycles),
-                  static_cast<unsigned long long>(s.end_cycles),
-                  static_cast<unsigned long long>(s.begin_host_ns),
-                  static_cast<unsigned long long>(s.end_host_ns));
+    text += strfmt("S %s %s %u %u %llu %llu %llu %llu\n",
+                   sanitize(s.name).c_str(),
+                   std::string(to_string(s.cat)).c_str(), s.core, s.depth,
+                   static_cast<unsigned long long>(s.begin_cycles),
+                   static_cast<unsigned long long>(s.end_cycles),
+                   static_cast<unsigned long long>(s.begin_host_ns),
+                   static_cast<unsigned long long>(s.end_host_ns));
   }
   for (const InstantRec& i : instants) {
-    out << strfmt("I %s %s %u %llu %llu\n", sanitize(i.name).c_str(),
-                  std::string(to_string(i.cat)).c_str(), i.core,
-                  static_cast<unsigned long long>(i.cycles),
-                  static_cast<unsigned long long>(i.host_ns));
+    text += strfmt("I %s %s %u %llu %llu\n", sanitize(i.name).c_str(),
+                   std::string(to_string(i.cat)).c_str(), i.core,
+                   static_cast<unsigned long long>(i.cycles),
+                   static_cast<unsigned long long>(i.host_ns));
   }
-  out.flush();
-  if (!out) {
-    throw std::runtime_error(
-        strfmt("failed to write %s", path.string().c_str()));
-  }
+  write_file_bytes(path, std::as_bytes(std::span(text)));
 }
 
 void write_span_file(const std::filesystem::path& path, std::string_view app,

@@ -1,9 +1,8 @@
 #include "trace/trace_io.hpp"
 
-#include <cstring>
 #include <utility>
 
-#include "common/crc.hpp"
+#include "common/framing.hpp"
 #include "common/strfmt.hpp"
 
 namespace bgp::trace {
@@ -34,11 +33,7 @@ TraceWriter::TraceWriter(std::filesystem::path base, TraceMeta meta,
   w.put<u32>(meta_.pacer_event);
   w.put<u32>(static_cast<u32>(meta_.events.size()));
   for (const isa::EventId ev : meta_.events) w.put<u16>(ev);
-  w.put<u32>(crc32(std::span(w.buffer()).subspan(header_begin)));
-  write_bytes(w.buffer());
-  // The header must survive a mid-run node death even though the stream
-  // stays open: flush it now so a .partial is always parseable.
-  out_.flush();
+  write_section(w, header_begin);
 }
 
 TraceWriter::~TraceWriter() {
@@ -83,11 +78,9 @@ void TraceWriter::flush() {
   BinaryWriter w;
   w.put<u32>(static_cast<u32>(pending_.size()));
   for (const IntervalRecord& r : pending_) put_record(w, r);
-  w.put<u32>(crc32(std::span(w.buffer())));
-  write_bytes(w.buffer());
+  write_section(w, 0);
   intervals_written_ += pending_.size();
   pending_.clear();
-  out_.flush();
 }
 
 std::filesystem::path TraceWriter::finalize(const TraceTotals& totals) {
@@ -99,8 +92,7 @@ std::filesystem::path TraceWriter::finalize(const TraceTotals& totals) {
   w.put<u64>(totals.dropped);
   w.put<u64>(totals.samples);
   w.put<u64>(totals.overhead_cycles);
-  w.put<u32>(crc32(std::span(w.buffer())));
-  write_bytes(w.buffer());
+  write_section(w, 0);
   out_.close();
   if (!out_) {
     throw BinIoError(
@@ -117,9 +109,13 @@ std::filesystem::path TraceWriter::finalize(const TraceTotals& totals) {
   return final_path_;
 }
 
-void TraceWriter::write_bytes(const std::vector<std::byte>& bytes) {
-  out_.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
+void TraceWriter::write_section(BinaryWriter& w, std::size_t mark) {
+  put_section_crc(w, mark);
+  out_.write(reinterpret_cast<const char*>(w.buffer().data()),
+             static_cast<std::streamsize>(w.size()));
+  // Flushed section by section, even though the stream stays open: a node
+  // that dies mid-run leaves a .partial whose every section is on disk.
+  out_.flush();
   if (!out_) {
     throw BinIoError(
         strfmt("short write to trace %s", partial_path_.string().c_str()));
@@ -129,107 +125,54 @@ void TraceWriter::write_bytes(const std::vector<std::byte>& bytes) {
 // ---------------------------------------------------------------------------
 // TraceReader
 
-TraceReader::TraceReader(const std::filesystem::path& path) : path_(path) {
-  in_.open(path_, std::ios::binary);
-  if (!in_) {
-    throw BinIoError(strfmt("cannot open trace %s", path_.string().c_str()));
-  }
-  parse_header();
-}
-
-std::size_t TraceReader::read_raw(std::byte* dst, std::size_t n) {
-  in_.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n));
-  return static_cast<std::size_t>(in_.gcount());
-}
-
-void TraceReader::parse_header() {
-  // The fixed prefix through the app-name length, then the variable tail.
-  // Everything after magic+version is covered by the header CRC.
-  auto read_or_throw = [this](std::vector<std::byte>& buf, std::size_t n) {
-    const std::size_t old = buf.size();
-    buf.resize(old + n);
-    if (read_raw(buf.data() + old, n) != n) {
+TraceReader::TraceReader(const std::filesystem::path& path)
+    : path_(path), in_(path, "trace " + path.string()) {
+  const auto take = [this](std::size_t n) {
+    std::optional<BinaryReader> r = in_.take(n);
+    if (!r) {
       throw BinIoError(
           strfmt("trace %s: truncated header", path_.string().c_str()));
     }
+    return *r;
   };
 
-  std::vector<std::byte> pre;
-  read_or_throw(pre, 2 * sizeof(u32));
-  {
-    BinaryReader r(pre);
-    if (r.get<u32>() != kTraceMagic) {
-      throw BinIoError(
-          strfmt("%s is not a BGPT trace (bad magic)", path_.string().c_str()));
-    }
-    const u32 version = r.get<u32>();
-    if (version != kTraceVersion) {
-      throw BinIoError(strfmt("trace %s: unsupported version %u",
-                              path_.string().c_str(), version));
-    }
+  BinaryReader r = take(2 * sizeof(u32));
+  if (r.get<u32>() != kTraceMagic) {
+    throw BinIoError(
+        strfmt("%s is not a BGPT trace (bad magic)", path_.string().c_str()));
+  }
+  const u32 version = r.get<u32>();
+  if (version != kTraceVersion) {
+    throw BinIoError(strfmt("trace %s: unsupported version %u",
+                            path_.string().c_str(), version));
   }
 
-  std::vector<std::byte> hdr;
-  read_or_throw(hdr, 3 * sizeof(u32) + sizeof(u32));  // ids + app-name length
-  u32 name_len = 0;
-  {
-    BinaryReader r(hdr);
-    meta_.node_id = r.get<u32>();
-    meta_.card_id = r.get<u32>();
-    meta_.counter_mode = r.get<u32>();
-    name_len = r.get<u32>();
-  }
-  if (name_len > (1u << 20)) {
-    throw BinIoError(
-        strfmt("trace %s: implausible header", path_.string().c_str()));
-  }
-  read_or_throw(hdr, name_len + sizeof(u64) + 2 * sizeof(u32));
-  u32 event_count = 0;
-  {
-    BinaryReader r(hdr);
-    r.get<u32>();  // ids already parsed
-    r.get<u32>();
-    r.get<u32>();
-    r.get<u32>();  // name length
-    meta_.app_name.assign(
-        reinterpret_cast<const char*>(hdr.data() + r.position()), name_len);
-    const std::size_t tail = 4 * sizeof(u32) + name_len;
-    BinaryReader t{std::span(hdr).subspan(tail)};
-    meta_.interval_cycles = t.get<u64>();
-    meta_.pacer_event = t.get<u32>();
-    event_count = t.get<u32>();
-  }
+  // Everything after magic+version is covered by the header CRC.
+  in_.begin_section();
+  r = take(4 * sizeof(u32));
+  meta_.node_id = r.get<u32>();
+  meta_.card_id = r.get<u32>();
+  meta_.counter_mode = r.get<u32>();
+  const u32 name_len = r.get<u32>();
+  r = take(name_len);
+  const auto name = r.window(0, name_len);
+  meta_.app_name.assign(reinterpret_cast<const char*>(name.data()),
+                        name.size());
+  r = take(sizeof(u64) + 2 * sizeof(u32));
+  meta_.interval_cycles = r.get<u64>();
+  meta_.pacer_event = r.get<u32>();
+  const u32 event_count = r.get<u32>();
   if (event_count == 0 || event_count > isa::kNumCounterModes * 256u) {
     throw BinIoError(strfmt("trace %s: implausible event count %u",
                             path_.string().c_str(), event_count));
   }
-  read_or_throw(hdr, event_count * sizeof(u16));
-  {
-    BinaryReader r{std::span(hdr).subspan(hdr.size() -
-                                          event_count * sizeof(u16))};
-    meta_.events.reserve(event_count);
-    for (u32 i = 0; i < event_count; ++i) {
-      meta_.events.push_back(r.get<u16>());
-    }
-  }
-  std::byte crc_bytes[sizeof(u32)];
-  if (read_raw(crc_bytes, sizeof(u32)) != sizeof(u32)) {
+  r = take(event_count * sizeof(u16));
+  meta_.events.reserve(event_count);
+  for (u32 i = 0; i < event_count; ++i) meta_.events.push_back(r.get<u16>());
+  if (!in_.check_section_crc("header")) {
     throw BinIoError(
         strfmt("trace %s: truncated header", path_.string().c_str()));
   }
-  u32 stored = 0;
-  std::memcpy(&stored, crc_bytes, sizeof(u32));
-  const u32 computed = crc32(std::span(hdr));
-  if (stored != computed) {
-    throw BinIoError(strfmt("trace %s: header CRC mismatch (stored %08X, "
-                            "computed %08X)",
-                            path_.string().c_str(), stored, computed));
-  }
-}
-
-std::size_t TraceReader::record_bytes() const noexcept {
-  return sizeof(u64) + sizeof(u32) + 2 * sizeof(u64) +
-         meta_.events.size() * sizeof(u64);
 }
 
 bool TraceReader::load_chunk() {
@@ -237,76 +180,46 @@ bool TraceReader::load_chunk() {
   chunk_pos_ = 0;
   if (done_) return false;
 
-  std::vector<std::byte> buf(sizeof(u32));
-  const std::size_t got = read_raw(buf.data(), sizeof(u32));
-  if (got != sizeof(u32)) {
-    // Tail ends at (or torn inside) a section boundary: clean truncation.
+  // A section cut short anywhere (count, body or CRC) is the torn tail of
+  // a dying node: discard it and end cleanly.
+  const auto end_truncated = [this] {
     truncated_ = true;
     done_ = true;
     return false;
-  }
-  u32 count = 0;
-  std::memcpy(&count, buf.data(), sizeof(u32));
+  };
+  std::optional<BinaryReader> r = in_.take(sizeof(u32));
+  if (!r) return end_truncated();
+  const u32 count = r->get<u32>();
 
   if (count == 0) {
-    // Footer: totals + CRC over sentinel and totals.
-    const std::size_t body = 4 * sizeof(u64);
-    buf.resize(sizeof(u32) + body + sizeof(u32));
-    if (read_raw(buf.data() + sizeof(u32), body + sizeof(u32)) !=
-        body + sizeof(u32)) {
-      truncated_ = true;
-      done_ = true;
-      return false;
-    }
-    const u32 computed = crc32(std::span(buf).first(sizeof(u32) + body));
-    BinaryReader r{std::span(buf).subspan(sizeof(u32))};
-    TraceTotals totals;
-    totals.intervals = r.get<u64>();
-    totals.dropped = r.get<u64>();
-    totals.samples = r.get<u64>();
-    totals.overhead_cycles = r.get<u64>();
-    const u32 stored = r.get<u32>();
-    if (stored != computed) {
-      throw BinIoError(strfmt("trace %s: footer CRC mismatch",
-                              path_.string().c_str()));
-    }
-    totals_ = totals;
+    // Footer: totals, CRC over sentinel and totals.
+    r = in_.take(4 * sizeof(u64));
+    if (!r || !in_.check_section_crc("footer")) return end_truncated();
+    TraceTotals& totals = totals_.emplace();
+    totals.intervals = r->get<u64>();
+    totals.dropped = r->get<u64>();
+    totals.samples = r->get<u64>();
+    totals.overhead_cycles = r->get<u64>();
     done_ = true;
     return false;
   }
 
-  const std::size_t payload = static_cast<std::size_t>(count) * record_bytes();
-  if (count > (1u << 24)) {
-    throw BinIoError(strfmt("trace %s: implausible chunk of %u records",
-                            path_.string().c_str(), count));
-  }
-  buf.resize(sizeof(u32) + payload + sizeof(u32));
-  if (read_raw(buf.data() + sizeof(u32), payload + sizeof(u32)) !=
-      payload + sizeof(u32)) {
-    // Chunk torn mid-write by a dying node: discard it, end cleanly.
-    truncated_ = true;
-    done_ = true;
-    return false;
-  }
-  const u32 computed = crc32(std::span(buf).first(sizeof(u32) + payload));
-  u32 stored = 0;
-  std::memcpy(&stored, buf.data() + sizeof(u32) + payload, sizeof(u32));
-  if (stored != computed) {
-    throw BinIoError(strfmt("trace %s: chunk CRC mismatch (stored %08X, "
-                            "computed %08X)",
-                            path_.string().c_str(), stored, computed));
-  }
-
-  BinaryReader r{std::span(buf).subspan(sizeof(u32), payload)};
+  // The body can never be longer than the file: a count past the end reads
+  // as a torn chunk before anything is allocated for it.
+  const std::size_t record_bytes = sizeof(u64) + sizeof(u32) +
+                                   2 * sizeof(u64) +
+                                   meta_.events.size() * sizeof(u64);
+  r = in_.take(static_cast<std::size_t>(count) * record_bytes);
+  if (!r || !in_.check_section_crc("chunk")) return end_truncated();
   chunk_.reserve(count);
   for (u32 i = 0; i < count; ++i) {
     IntervalRecord rec;
-    rec.index = r.get<u64>();
-    rec.spanned = r.get<u32>();
-    rec.t_begin = r.get<u64>();
-    rec.t_end = r.get<u64>();
+    rec.index = r->get<u64>();
+    rec.spanned = r->get<u32>();
+    rec.t_begin = r->get<u64>();
+    rec.t_end = r->get<u64>();
     rec.values.resize(meta_.events.size());
-    for (u64& v : rec.values) v = r.get<u64>();
+    for (u64& v : rec.values) v = r->get<u64>();
     chunk_.push_back(std::move(rec));
   }
   return true;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/binio.hpp"
+#include "common/framing.hpp"
 #include "trace/traceformat.hpp"
 
 namespace bgp::trace {
@@ -56,7 +57,8 @@ class TraceWriter {
   }
 
  private:
-  void write_bytes(const std::vector<std::byte>& bytes);
+  /// Seal `w`'s section begun at `mark` with its CRC, write and flush it.
+  void write_section(BinaryWriter& w, std::size_t mark);
   void put_record(BinaryWriter& w, const IntervalRecord& record) const;
 
   TraceMeta meta_;
@@ -96,17 +98,12 @@ class TraceReader {
   [[nodiscard]] u64 records_read() const noexcept { return records_read_; }
 
  private:
-  void parse_header();
   /// Load the next chunk into chunk_ (or set totals_/truncated_ and leave
   /// it empty). Returns true when records are available.
   bool load_chunk();
-  /// Read exactly `n` bytes; returns the number actually read (short at a
-  /// truncated tail).
-  std::size_t read_raw(std::byte* dst, std::size_t n);
-  [[nodiscard]] std::size_t record_bytes() const noexcept;
 
   std::filesystem::path path_;
-  std::ifstream in_;
+  SectionFileReader in_;
   TraceMeta meta_;
   std::vector<IntervalRecord> chunk_;
   std::size_t chunk_pos_ = 0;

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 namespace bgp {
 namespace {
@@ -63,6 +64,33 @@ TEST(BinIo, FileRoundTrip) {
   BinaryReader r(bytes);
   for (u64 i = 0; i < 1000; ++i) EXPECT_EQ(r.get<u64>(), i * i);
   std::filesystem::remove(path);
+}
+
+// A small file sits in the stream buffer until close(), so a full disk
+// only shows up there; it must still be reported.
+TEST(BinIo, WriteToAFullDiskThrows) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  BinaryWriter w;
+  for (int i = 0; i < 100; ++i) w.put<u8>(static_cast<u8>(i));
+  EXPECT_THROW(w.write_file("/dev/full"), BinIoError);
+}
+
+TEST(BinIo, PublishFileReplacesAtomicallyAndCleansUp) {
+  const auto dir = std::filesystem::temp_directory_path() / "bgp_binio_publish";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::vector<std::byte> bytes(10, std::byte{0x5A});
+  publish_file(dir / "out.bin", bytes);
+  publish_file(dir / "out.bin", bytes);  // replaces an existing file
+  EXPECT_EQ(read_file_bytes(dir / "out.bin"), bytes);
+  EXPECT_FALSE(std::filesystem::exists(dir / "out.bin.tmp"));
+
+  // The rename cannot replace a directory: the publish fails and leaves
+  // no temp file behind.
+  std::filesystem::create_directories(dir / "taken");
+  EXPECT_THROW(publish_file(dir / "taken", bytes), BinIoError);
+  EXPECT_FALSE(std::filesystem::exists(dir / "taken.tmp"));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(BinIo, MissingFileThrows) {

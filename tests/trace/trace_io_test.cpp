@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <vector>
 #include <fstream>
 
 #include "common/binio.hpp"
@@ -188,6 +189,47 @@ TEST_F(TraceIo, CorruptChunkFailsItsCrc) {
         }
       },
       BinIoError);
+}
+
+// A chunk's record count is bounded by the bytes left in the file, not by
+// a plausibility cap: a flipped high bit must read as a torn chunk (or a
+// CRC error), never as a multi-gigabyte allocation or std::bad_alloc.
+TEST_F(TraceIo, CorruptChunkCountIsBoundedByTheFile) {
+  const fs::path base = dir_ / "iotest.node0007";
+  const fs::path sealed = base.string() + kTraceSuffix;
+  TraceMeta meta = test_meta();
+  meta.events.assign(1024, isa::ev::cycle_count(0));  // 8,220-byte records
+  {
+    TraceWriter w(base, meta);
+    for (u64 i = 0; i < 8; ++i) {
+      IntervalRecord r = rec(i);
+      r.values.assign(meta.events.size(), i);
+      w.append(r);
+    }
+    w.finalize({});
+  }
+  // The first chunk's count follows the header and its CRC.
+  const std::size_t count_at = 2 * sizeof(u32) + 4 * sizeof(u32) +
+                               meta.app_name.size() + sizeof(u64) +
+                               2 * sizeof(u32) +
+                               meta.events.size() * sizeof(u16) + sizeof(u32);
+  const std::vector<std::byte> original = read_file_bytes(sealed);
+  ASSERT_EQ(static_cast<u32>(original[count_at]), 8u);
+  for (unsigned bit = 23; bit < 32; ++bit) {
+    std::vector<std::byte> bytes = original;
+    bytes[count_at + bit / 8] ^= std::byte{static_cast<unsigned char>(
+        1u << (bit % 8))};
+    BinaryWriter w;
+    w.put_bytes(bytes);
+    w.write_file(sealed);
+    TraceReader r(sealed);
+    try {
+      EXPECT_FALSE(r.next().has_value()) << "bit " << bit;
+      EXPECT_TRUE(r.truncated()) << "bit " << bit;
+    } catch (const BinIoError&) {
+      // A documented rejection is fine too.
+    }
+  }
 }
 
 TEST_F(TraceIo, CorruptHeaderIsRejectedAtOpen) {
