@@ -130,24 +130,31 @@ SnapshotWriter::SnapshotWriter(const std::filesystem::path& path,
       metrics_capacity_(round8(metrics_capacity)),
       faults_(faults) {
   const Geometry g = make_geometry(num_nodes, metrics_capacity);
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+  // Built under a temporary name and renamed into place once the header
+  // and every idle slot are written: an attach that finds `path` always
+  // finds a whole file, never a zero-filled one still waiting for its magic.
+  const std::filesystem::path tmp = path.string() + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     throw std::runtime_error(
-        strfmt("cannot create snapshot file %s: %s", path.c_str(),
+        strfmt("cannot create snapshot file %s: %s", tmp.c_str(),
                std::strerror(errno)));
   }
   if (::ftruncate(fd, static_cast<off_t>(g.total)) != 0) {
     const int err = errno;
     ::close(fd);
+    ::unlink(tmp.c_str());
     throw std::runtime_error(strfmt("cannot size snapshot file %s: %s",
-                                    path.c_str(), std::strerror(err)));
+                                    tmp.c_str(), std::strerror(err)));
   }
   void* map = ::mmap(nullptr, g.total, PROT_READ | PROT_WRITE, MAP_SHARED,
                      fd, 0);
   ::close(fd);
   if (map == MAP_FAILED) {
+    const int err = errno;
+    ::unlink(tmp.c_str());
     throw std::runtime_error(strfmt("cannot mmap snapshot file %s: %s",
-                                    path.c_str(), std::strerror(errno)));
+                                    tmp.c_str(), std::strerror(err)));
   }
   map_ = static_cast<std::byte*>(map);
   map_bytes_ = g.total;
@@ -172,6 +179,14 @@ SnapshotWriter::SnapshotWriter(const std::filesystem::path& path,
   const std::array<u64, isa::kCountersPerUnit> zeros{};
   for (unsigned node = 0; node < num_nodes_; ++node) {
     publish_node(node, node, 0, 0, SnapState::kIdle, 0, zeros);
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int err = errno;
+    ::munmap(map_, map_bytes_);
+    map_ = nullptr;
+    ::unlink(tmp.c_str());
+    throw std::runtime_error(strfmt("cannot publish snapshot file %s: %s",
+                                    path.c_str(), std::strerror(err)));
   }
 }
 

@@ -45,6 +45,10 @@ EpochScheduler::EpochScheduler(Machine& machine, const RankFn& program)
 EpochScheduler::~EpochScheduler() = default;
 
 int EpochScheduler::global_min_locked() {
+  // The serial dispatcher runs a picked rank uninterrupted to its next
+  // yield/block, so once a segment has committed it stays first in the
+  // order — even over ranks its own commits woke at smaller keys.
+  if (token_ >= 0) return token_;
   unsigned r = 0;
   if (pending_q_.peek_min(r, [this](unsigned cand) { return pending(cand); })) {
     return static_cast<int>(r);
@@ -57,49 +61,44 @@ int EpochScheduler::pick_local_locked(unsigned node) {
   int best = -1;
   cycles_t best_key = 0;
   for (const unsigned r : ns.residents) {
-    if (!pending(r)) continue;
     const RankState& s = states_[r];
-    if (best < 0 || SchedKey{s.key, r} <
-                        SchedKey{best_key, static_cast<unsigned>(best)}) {
-      best = static_cast<int>(r);
-      best_key = s.key;
+    switch (s.phase) {
+      case Phase::kRunning:
+      case Phase::kParkedSlot:
+        // A segment is in flight on these caches (running, or parked for
+        // the coordinator to drain its commit): nothing else may start.
+        return -1;
+      case Phase::kReadyResume:
+        // Mid-segment continuation: the serial dispatcher never preempts
+        // a running rank, not even for one its commit woke at a smaller
+        // key. Its commit made it the token holder, hence the global
+        // minimum, so the strict gate holds too.
+        return static_cast<int>(r);
+      case Phase::kStartable:
+        if (best < 0 || SchedKey{s.key, r} <
+                            SchedKey{best_key, static_cast<unsigned>(best)}) {
+          best = static_cast<int>(r);
+          best_key = s.key;
+        }
+        break;
+      default:
+        break;
     }
   }
   if (best < 0) return -1;
-  RankState& s = states_[static_cast<std::size_t>(best)];
-  switch (s.phase) {
-    case Phase::kParkedSlot:
-    case Phase::kRunning:
-      // A parked commit is the coordinator's to execute (drain), and a
-      // running rank already owns the executor; either way this node's
-      // executor has nothing to dispatch right now.
-      return -1;
-    case Phase::kReadyResume:
-      // Mid-segment continuation: the serial dispatcher never preempts a
-      // running rank. In strict mode the world must stay frozen around
-      // the single progressing rank, so even resumes gate on global order.
-      if (strict_ && global_min_locked() != best) return -1;
-      return best;
-    case Phase::kStartable: {
-      if (strict_) {
-        return global_min_locked() == best ? best : -1;
-      }
-      // Hazard gate: a locally-blocked rank could be woken by a commit at
-      // a key below ours, and the serial dispatcher would run it first on
-      // these very caches. Blocked clocks are stable under the lock.
-      const unsigned br = static_cast<unsigned>(best);
-      for (const unsigned w : ns.residents) {
-        if (states_[w].phase != Phase::kBlocked) continue;
-        const cycles_t wc = machine_.ranks_[w]->ctx->core().now();
-        if (SchedKey{wc, w} < SchedKey{s.key, br}) {
-          return global_min_locked() == best ? best : -1;
-        }
-      }
-      return best;
+  if (strict_) return global_min_locked() == best ? best : -1;
+  // Hazard gate: a locally-blocked rank could be woken by a commit at a key
+  // below ours, and the serial dispatcher would run it first on these very
+  // caches. Blocked clocks are stable under the lock.
+  const unsigned br = static_cast<unsigned>(best);
+  for (const unsigned w : ns.residents) {
+    if (states_[w].phase != Phase::kBlocked) continue;
+    const cycles_t wc = machine_.ranks_[w]->ctx->core().now();
+    if (SchedKey{wc, w} < SchedKey{best_key, br}) {
+      return global_min_locked() == best ? best : -1;
     }
-    default:
-      return -1;
   }
+  return best;
 }
 
 void EpochScheduler::pump_queue_locked() {
@@ -116,6 +115,7 @@ void EpochScheduler::pump_queue_locked() {
         s.phase = Phase::kParkedSlot;
         break;
       case CommitOp::kYieldSegment:
+        end_segment_locked(n->rank);
         s.key = n->key;
         pending_q_.invalidate(n->rank);
         pending_q_.push(s.key, n->rank);
@@ -133,6 +133,7 @@ void EpochScheduler::drain_commits_locked() {
     if (g < 0) break;
     RankState& s = states_[static_cast<std::size_t>(g)];
     if (s.phase != Phase::kParkedSlot) break;
+    token_ = g;
     try {
       (*s.slot_fn)();
     } catch (...) {
@@ -141,8 +142,12 @@ void EpochScheduler::drain_commits_locked() {
     s.slot_fn = nullptr;
     s.phase = Phase::kReadyResume;
     // Keep draining: the commit may have unblocked a chain of slots, and
-    // the resuming rank (still the minimum) stops the loop at the top.
+    // the resuming rank (the token holder) stops the loop at the top.
   }
+}
+
+void EpochScheduler::end_segment_locked(unsigned rank) {
+  if (token_ == static_cast<int>(rank)) token_ = -1;
 }
 
 void EpochScheduler::sweep_locked() {
@@ -246,6 +251,7 @@ void EpochScheduler::yield_segment(unsigned rank) {
     s.fiber->park();
     return;
   }
+  end_segment_locked(rank);
   s.key = machine_.ranks_[rank]->ctx->core().now();
   pending_q_.invalidate(rank);
   pending_q_.push(s.key, rank);
@@ -267,6 +273,7 @@ void EpochScheduler::block_fiber(unsigned rank) {
   // kRunning and drop the wake, stranding the fiber. Blocks are rare
   // (recv/collective waits) — the mutex stays.
   std::unique_lock<std::mutex> lock(mu_);
+  end_segment_locked(rank);
   s.phase = Phase::kBlocked;
   pending_q_.invalidate(rank);
   drain_commits_locked();  // we left the pending set; commits may proceed
@@ -308,6 +315,7 @@ void EpochScheduler::fiber_main(unsigned rank) {
     self.error = std::current_exception();
   }
   std::unique_lock<std::mutex> lock(mu_);
+  end_segment_locked(rank);
   states_[rank].phase = Phase::kTerminal;
   pending_q_.invalidate(rank);
   ++terminal_count_;

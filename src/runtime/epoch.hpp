@@ -29,7 +29,11 @@
 //    under the scheduler lock.)
 //  * A rank *resuming* mid-segment after a commit (kReadyResume) continues
 //    immediately — the serial scheduler never preempts a running rank
-//    either.
+//    either. Its node starts no other rank until the segment ends, and
+//    from its first commit to its next yield/block it holds the *token*:
+//    it counts as the global minimum, so its later commits run at once
+//    and ranks its commits woke at smaller keys wait for the segment to
+//    end, exactly as under the serial dispatcher.
 //  * Strict mode (fault injection or FT enabled): segments read global
 //    state mid-flight (death schedules, revocation flags, group
 //    membership), so both kStartable and kReadyResume gate on the global
@@ -132,6 +136,8 @@ class EpochScheduler {
   /// Execute parked commits while the global minimum pending rank is a
   /// kParkedSlot.
   void drain_commits_locked();
+  /// `rank`'s segment ended (yield, block or terminal): drop its token.
+  void end_segment_locked(unsigned rank);
   /// Post node_loop tasks for every inactive node that has dispatchable
   /// work.
   void sweep_locked();
@@ -154,6 +160,9 @@ class EpochScheduler {
   /// that lost the try_lock race (see runtime/commitq.hpp).
   CommitQueue queue_;
   WorkerPool pool_;
+  /// Rank whose current segment has committed (see the model above), or
+  /// -1. global_min_locked() returns it while set.
+  int token_ = -1;
   unsigned active_nodes_ = 0;
   unsigned terminal_count_ = 0;
   std::string deadlock_diag_;

@@ -179,6 +179,26 @@ TEST(DaemonIntegration, FourSessionsKillAttachScrapeDrain) {
   }
   EXPECT_TRUE(saw_live) << "never observed a live mid-run snapshot";
 
+  // Mid-flight means every victim node is counting: a kill that lands
+  // before some node's rank initialized leaves that node no dump or trace
+  // to seal, which a loaded host makes likely.
+  const fs::path victim_snap = victim.get("snapshot")->as_string();
+  bool victim_live = false;
+  for (int i = 0; i < 60'000 && !victim_live; ++i) {
+    if (fs::exists(victim_snap)) {
+      const AttachView view = attach_file(victim_snap);
+      unsigned counting = 0;
+      for (const NodeSnapshot& snap : view.nodes) {
+        if (snap.state == SnapState::kCounting && snap.published_cycle > 0) {
+          ++counting;
+        }
+      }
+      victim_live = counting == 4;
+    }
+    if (!victim_live) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(victim_live) << "victim never had all four nodes counting";
+
   // Kill the victim mid-flight; it checkpoints and seals.
   const json::Value killed = command(sock, "kill", "victim");
   ASSERT_TRUE(killed.get("ok")->as_bool()) << killed.dump();

@@ -1,13 +1,15 @@
-// Write-ahead journal contract: appended records replay exactly, the
-// writer truncates torn tails on reopen so appends stay readable, foreign
+// Write-ahead journal contract: appended records replay exactly, a torn or
+// bit-flipped tail never surfaces a partial record (committed prefix only),
+// the writer truncates torn tails on reopen so appends stay readable, foreign
 // files are never clobbered, and the injected daemon faults (torn append,
-// ENOSPC, EINTR) behave like their real counterparts. The truncate-anywhere
-// and bit-flip-anywhere properties live in tests/format.
+// ENOSPC, EINTR) behave like their real counterparts. The exhaustive
+// truncate-anywhere and bit-flip-anywhere sweeps live in tests/format.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -110,6 +112,77 @@ TEST(Journal, ForeignFileRefusedNotClobbered) {
   EXPECT_THROW(JournalWriter{path}, JournalError);
   // The file must be untouched.
   EXPECT_NE(fs::file_size(path), 0u);
+}
+
+// Property: truncating the file at *any* point yields exactly the records
+// whose frames survived whole — the committed prefix — and never a torn
+// record or a crash.
+TEST(Journal, TruncatedTailYieldsExactlyTheCommittedPrefix) {
+  const fs::path dir = test_dir();
+  const fs::path path = dir / "j";
+  const unsigned kRecords = 8;
+  const std::vector<std::size_t> ends = write_journal(path, kRecords);
+  const std::vector<std::byte> full = read_bytes(path);
+
+  std::mt19937_64 rng(0xC0FFEE);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t cut = rng() % (full.size() + 1);
+    std::vector<std::byte> bytes(full.begin(),
+                                 full.begin() + static_cast<long>(cut));
+    const fs::path p = dir / "cut";
+    write_bytes(p, bytes);
+
+    const JournalReplay replay = replay_journal(p);
+    std::size_t expected = 0;
+    while (expected < ends.size() && ends[expected] <= cut) ++expected;
+    ASSERT_EQ(replay.records.size(), expected) << "cut at " << cut;
+    for (std::size_t i = 0; i < expected; ++i) {
+      EXPECT_EQ(dump(replay.records[i]), dump(make_record(unsigned(i))));
+    }
+    EXPECT_EQ(replay.valid_bytes + replay.dropped_bytes, cut);
+  }
+}
+
+// Property: a bit flip anywhere past the header (injected through the same
+// fault machinery the dump pipeline uses) invalidates exactly the frame it
+// hit — replay returns the intact prefix before it, never a mutated record.
+TEST(Journal, BitFlippedTailNeverYieldsACorruptRecord) {
+  const fs::path dir = test_dir();
+  const fs::path path = dir / "j";
+  const unsigned kRecords = 8;
+  const std::vector<std::size_t> ends = write_journal(path, kRecords);
+  const std::vector<std::byte> full = read_bytes(path);
+
+  std::mt19937_64 rng(0xBADC0DE);
+  for (int trial = 0; trial < 200; ++trial) {
+    const u32 offset = static_cast<u32>(
+        kJournalHeaderBytes + rng() % (full.size() - kJournalHeaderBytes));
+    fault::FaultPlan plan;
+    fault::FaultEvent flip;
+    flip.kind = fault::FaultKind::kDumpBitFlip;
+    flip.node = 0;
+    flip.byte_offset = offset;
+    flip.bit = static_cast<u8>(rng() % 8);
+    plan.add(flip);
+    fault::FaultInjector injector(plan);
+
+    std::vector<std::byte> bytes = full;
+    ASSERT_EQ(injector.corrupt_dump(0, bytes).size(), 1u);
+    const fs::path p = dir / "flip";
+    write_bytes(p, bytes);
+
+    // The frame containing the flipped byte is the first invalid one.
+    std::size_t victim = 0;
+    while (victim < ends.size() && ends[victim] <= offset) ++victim;
+
+    const JournalReplay replay = replay_journal(p);
+    ASSERT_EQ(replay.records.size(), victim)
+        << "flip at " << offset << " bit " << unsigned(flip.bit);
+    for (std::size_t i = 0; i < victim; ++i) {
+      EXPECT_EQ(dump(replay.records[i]), dump(make_record(unsigned(i))));
+    }
+    EXPECT_FALSE(replay.tail_error.empty());
+  }
 }
 
 // A file shorter than the magic is ours only when it is a prefix of it
