@@ -60,13 +60,12 @@ int EpochScheduler::pick_local_locked(unsigned node) {
   const NodeState& ns = nodes_[node];
   int best = -1;
   cycles_t best_key = 0;
+  int parked = -1;
   for (const unsigned r : ns.residents) {
     const RankState& s = states_[r];
     switch (s.phase) {
       case Phase::kRunning:
-      case Phase::kParkedSlot:
-        // A segment is in flight on these caches (running, or parked for
-        // the coordinator to drain its commit): nothing else may start.
+        // This node's executor is busy with it.
         return -1;
       case Phase::kReadyResume:
         // Mid-segment continuation: the serial dispatcher never preempts
@@ -74,6 +73,9 @@ int EpochScheduler::pick_local_locked(unsigned node) {
         // key. Its commit made it the token holder, hence the global
         // minimum, so the strict gate holds too.
         return static_cast<int>(r);
+      case Phase::kParkedSlot:
+        parked = static_cast<int>(r);
+        break;
       case Phase::kStartable:
         if (best < 0 || SchedKey{s.key, r} <
                             SchedKey{best_key, static_cast<unsigned>(best)}) {
@@ -86,11 +88,21 @@ int EpochScheduler::pick_local_locked(unsigned node) {
     }
   }
   if (best < 0) return -1;
+  const unsigned br = static_cast<unsigned>(best);
+  // A segment parked for the coordinator to drain its commit holds these
+  // caches against every rank that follows it in order. Only a stop can
+  // wake a resident ahead of it (see the model in epoch.hpp); that rank
+  // runs first, as the serial dispatcher would run it, and the parked
+  // commit cannot execute while it is pending.
+  if (parked >= 0 &&
+      SchedKey{states_[static_cast<std::size_t>(parked)].key,
+               static_cast<unsigned>(parked)} < SchedKey{best_key, br}) {
+    return -1;
+  }
   if (strict_) return global_min_locked() == best ? best : -1;
   // Hazard gate: a locally-blocked rank could be woken by a commit at a key
   // below ours, and the serial dispatcher would run it first on these very
   // caches. Blocked clocks are stable under the lock.
-  const unsigned br = static_cast<unsigned>(best);
   for (const unsigned w : ns.residents) {
     if (states_[w].phase != Phase::kBlocked) continue;
     const cycles_t wc = machine_.ranks_[w]->ctx->core().now();
@@ -128,22 +140,20 @@ void EpochScheduler::pump_queue_locked() {
 
 void EpochScheduler::drain_commits_locked() {
   pump_queue_locked();
-  for (;;) {
-    const int g = global_min_locked();
-    if (g < 0) break;
-    RankState& s = states_[static_cast<std::size_t>(g)];
-    if (s.phase != Phase::kParkedSlot) break;
-    token_ = g;
-    try {
-      (*s.slot_fn)();
-    } catch (...) {
-      s.slot_error = std::current_exception();
-    }
-    s.slot_fn = nullptr;
-    s.phase = Phase::kReadyResume;
-    // Keep draining: the commit may have unblocked a chain of slots, and
-    // the resuming rank (the token holder) stops the loop at the top.
+  const int g = global_min_locked();
+  if (g < 0) return;
+  RankState& s = states_[static_cast<std::size_t>(g)];
+  if (s.phase != Phase::kParkedSlot) return;
+  token_ = g;
+  try {
+    (*s.slot_fn)();
+  } catch (...) {
+    s.slot_error = std::current_exception();
   }
+  s.slot_fn = nullptr;
+  // The token holder stays the global minimum, so nothing else drains
+  // until its segment ends; slots that wait behind it drain from there.
+  s.phase = Phase::kReadyResume;
 }
 
 void EpochScheduler::end_segment_locked(unsigned rank) {

@@ -34,6 +34,11 @@
 //    it counts as the global minimum, so its later commits run at once
 //    and ranks its commits woke at smaller keys wait for the segment to
 //    end, exactly as under the serial dispatcher.
+//  * A stop request is the one wake that lands mid-segment: it can make a
+//    resident pending at a key below a node-mate that is running but has
+//    not committed yet. That node-mate then parks at its commit, and the
+//    node starts the woken rank, which only unwinds; the parked commit
+//    drains once the woken rank has left the pending set.
 //  * Strict mode (fault injection or FT enabled): segments read global
 //    state mid-flight (death schedules, revocation flags, group
 //    membership), so both kStartable and kReadyResume gate on the global
@@ -133,8 +138,8 @@ class EpochScheduler {
   /// before scheduling decisions so freshly published yields/parks/blocks
   /// are visible; drain_commits_locked() calls it first.
   void pump_queue_locked();
-  /// Execute parked commits while the global minimum pending rank is a
-  /// kParkedSlot.
+  /// Execute the global minimum's commit if it is parked; that rank then
+  /// holds the token.
   void drain_commits_locked();
   /// `rank`'s segment ended (yield, block or terminal): drop its token.
   void end_segment_locked(unsigned rank);
