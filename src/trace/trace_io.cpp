@@ -1,5 +1,6 @@
 #include "trace/trace_io.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/framing.hpp"
@@ -13,7 +14,8 @@ namespace bgp::trace {
 TraceWriter::TraceWriter(std::filesystem::path base, TraceMeta meta,
                          std::size_t chunk_records)
     : meta_(std::move(meta)),
-      chunk_records_(chunk_records == 0 ? 1 : chunk_records),
+      chunk_records_(std::clamp<std::size_t>(chunk_records, 1,
+                                             kMaxChunkRecords)),
       partial_path_(base.string() + kPartialSuffix),
       final_path_(base.string() + kTraceSuffix) {
   out_.open(partial_path_, std::ios::binary | std::ios::trunc);
@@ -204,6 +206,11 @@ bool TraceReader::load_chunk() {
     return false;
   }
 
+  // No writer commits a chunk this large: the count itself is corrupt.
+  if (count > kMaxChunkRecords) {
+    throw BinIoError(strfmt("trace %s: implausible chunk of %u records",
+                            path_.string().c_str(), count));
+  }
   // The body can never be longer than the file: a count past the end reads
   // as a torn chunk before anything is allocated for it.
   const std::size_t record_bytes = sizeof(u64) + sizeof(u32) +

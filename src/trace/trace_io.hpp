@@ -26,7 +26,8 @@ class TraceWriter {
   static constexpr std::size_t kDefaultChunkRecords = 64;
 
   /// Opens `<base>.bgpt.partial` and writes the header immediately. `base`
-  /// is the trace path without either suffix.
+  /// is the trace path without either suffix. `chunk_records` is clamped
+  /// to 1..kMaxChunkRecords.
   TraceWriter(std::filesystem::path base, TraceMeta meta,
               std::size_t chunk_records = kDefaultChunkRecords);
   ~TraceWriter();

@@ -7,7 +7,8 @@
 //            | interval cycles (u64) | pacer event (u32, kPacerTimebase =
 //            |   Time-Base polled) | event count (u32) | event ids (u16 each)
 //            | header CRC32 (u32)
-//   chunk:   interval count (u32, > 0) | that many interval records
+//   chunk:   interval count (u32, 1..kMaxChunkRecords) | that many
+//            | interval records
 //            | chunk CRC32 (u32)
 //   footer:  sentinel 0 (u32) | intervals produced (u64) | intervals
 //            | dropped (u64) | samples taken (u64) | sampling overhead
@@ -35,6 +36,11 @@ namespace bgp::trace {
 
 inline constexpr u32 kTraceMagic = 0x54504742;  // "BGPT" little-endian
 inline constexpr u32 kTraceVersion = 1;
+
+/// Most interval records one chunk may hold. The writer never commits a
+/// larger chunk, so the reader rejects a larger count as corrupt instead
+/// of reading it as a chunk torn off by a dying node.
+inline constexpr u32 kMaxChunkRecords = 1u << 16;
 
 /// Pacer sentinel: the node had no cycle counter in its programmed mode, so
 /// sampling was paced by Time-Base polling instead of threshold interrupts.

@@ -191,10 +191,12 @@ TEST_F(TraceIo, CorruptChunkFailsItsCrc) {
       BinIoError);
 }
 
-// A chunk's record count is bounded by the bytes left in the file, not by
-// a plausibility cap: a flipped high bit must read as a torn chunk (or a
-// CRC error), never as a multi-gigabyte allocation or std::bad_alloc.
-TEST_F(TraceIo, CorruptChunkCountIsBoundedByTheFile) {
+// A corrupt chunk record count never turns into an allocation: a count no
+// writer commits (above kMaxChunkRecords) is rejected as corrupt, and a
+// plausible one whose body runs past the end of the file reads as a torn
+// chunk. High bits are tried first, so a reader that trusts the count fails
+// on std::bad_alloc before any flip could make it allocate gigabytes.
+TEST_F(TraceIo, CorruptChunkCountIsRejectedOrBoundedByTheFile) {
   const fs::path base = dir_ / "iotest.node0007";
   const fs::path sealed = base.string() + kTraceSuffix;
   TraceMeta meta = test_meta();
@@ -215,20 +217,24 @@ TEST_F(TraceIo, CorruptChunkCountIsBoundedByTheFile) {
                                meta.events.size() * sizeof(u16) + sizeof(u32);
   const std::vector<std::byte> original = read_file_bytes(sealed);
   ASSERT_EQ(static_cast<u32>(original[count_at]), 8u);
-  for (unsigned bit = 23; bit < 32; ++bit) {
+  const auto flip = [&](unsigned bit) {
     std::vector<std::byte> bytes = original;
     bytes[count_at + bit / 8] ^= std::byte{static_cast<unsigned char>(
         1u << (bit % 8))};
     BinaryWriter w;
     w.put_bytes(bytes);
     w.write_file(sealed);
+  };
+  for (unsigned bit = 31; bit >= 16; --bit) {
+    flip(bit);
     TraceReader r(sealed);
-    try {
-      EXPECT_FALSE(r.next().has_value()) << "bit " << bit;
-      EXPECT_TRUE(r.truncated()) << "bit " << bit;
-    } catch (const BinIoError&) {
-      // A documented rejection is fine too.
-    }
+    ASSERT_THROW((void)r.next(), BinIoError) << "bit " << bit;
+  }
+  for (unsigned bit = 15; bit >= 4; --bit) {
+    flip(bit);
+    TraceReader r(sealed);
+    EXPECT_FALSE(r.next().has_value()) << "bit " << bit;
+    EXPECT_TRUE(r.truncated()) << "bit " << bit;
   }
 }
 
