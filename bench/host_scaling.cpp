@@ -1,8 +1,8 @@
 // Host-scaling curve for the parallel epoch scheduler
-// (docs/parallel-scheduler.md): run one benchmark serially (the oracle),
-// then under --sched=parallel at each worker count in the --jobs list, and
-// report host wall-clock, speedup over one worker, and the simulated cycle
-// count of every run. The simulated cycles must be identical across all
+// (docs/parallel-scheduler.md): run one benchmark on one worker
+// (--sched=serial), then under --sched=parallel at each worker count in
+// the --jobs list, and report host wall-clock, speedup over one worker,
+// and the simulated cycle count of every run. The simulated cycles must be identical across all
 // rows — the scheduler trades host time, never simulated behaviour — and
 // the harness fails if they are not.
 //

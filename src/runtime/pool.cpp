@@ -1,5 +1,8 @@
 #include "runtime/pool.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <stdexcept>
 
@@ -13,21 +16,35 @@
 namespace bgp::rt {
 
 namespace {
-/// Minimum usable fiber stack: SIGSTKSZ-ish plus room for the simulator's
-/// deepest call chains (kernel bodies, dump serialization, printf).
-constexpr std::size_t kMinStackBytes = 64 * 1024;
+/// Usable stack per fiber: room for the simulator's deepest call chains
+/// (kernel bodies, dump serialization, printf).
+constexpr std::size_t kStackBytes = 1024 * 1024;
+
+std::size_t guard_bytes() {
+  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
 }  // namespace
 
-Fiber::Fiber(std::size_t stack_bytes, std::function<void()> entry)
-    : entry_(std::move(entry)),
-      stack_bytes_(stack_bytes < kMinStackBytes ? kMinStackBytes
-                                                : stack_bytes) {
-  stack_ = std::make_unique<std::byte[]>(stack_bytes_);
+Fiber::Fiber(std::function<void()> entry) : entry_(std::move(entry)) {
   if (getcontext(&ctx_) != 0) {
     throw std::runtime_error("fiber: getcontext failed");
   }
-  ctx_.uc_stack.ss_sp = stack_.get();
-  ctx_.uc_stack.ss_size = stack_bytes_;
+  // An anonymous mapping reads as zeros without being written, so a
+  // fiber's resident size is the stack depth it reached, not kStackBytes.
+  void* map = mmap(nullptr, guard_bytes() + kStackBytes,
+                   PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                   -1, 0);
+  if (map == MAP_FAILED) throw std::runtime_error("fiber: cannot map stack");
+  map_ = static_cast<std::byte*>(map);
+  // An overflow faults on the guard page instead of corrupting the heap.
+  if (mprotect(map_, guard_bytes(), PROT_NONE) != 0) {
+    munmap(map_, guard_bytes() + kStackBytes);
+    throw std::runtime_error("fiber: cannot protect the stack guard page");
+  }
+  ctx_.uc_stack.ss_sp = stack_base();
+  ctx_.uc_stack.ss_size = kStackBytes;
   ctx_.uc_link = nullptr;  // termination switches back manually
   const auto self = reinterpret_cast<std::uintptr_t>(this);
   makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
@@ -42,7 +59,10 @@ Fiber::~Fiber() {
 #ifdef BGP_TSAN_FIBERS
   if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
 #endif
+  munmap(map_, guard_bytes() + kStackBytes);
 }
+
+std::byte* Fiber::stack_base() const noexcept { return map_ + guard_bytes(); }
 
 void Fiber::trampoline(unsigned hi, unsigned lo) {
   const auto self = (static_cast<std::uintptr_t>(hi) << 32) |
@@ -78,8 +98,8 @@ void Fiber::resume() {
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
 #ifdef BGP_ASAN_FIBERS
-  __sanitizer_start_switch_fiber(&host_fake_stack_, stack_.get(),
-                                 stack_bytes_);
+  __sanitizer_start_switch_fiber(&host_fake_stack_, stack_base(),
+                                 kStackBytes);
 #endif
   swapcontext(&ret_ctx_, &ctx_);
 #ifdef BGP_ASAN_FIBERS

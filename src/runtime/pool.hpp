@@ -1,6 +1,5 @@
-// Execution resources for the parallel epoch scheduler: ucontext fibers
-// (one per rank, so 4096 ranks no longer means 4096 OS threads) and a
-// bounded worker pool they are multiplexed onto.
+// Execution resources for the epoch scheduler: ucontext fibers (one per
+// rank) and a bounded worker pool they are multiplexed onto.
 //
 // A Fiber is resumed from a worker thread and runs until it parks (or its
 // entry function returns); parking switches straight back into resume()'s
@@ -17,7 +16,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -47,7 +45,9 @@ class Fiber {
  public:
   /// `entry` runs on the fiber's stack at the first resume(); when it
   /// returns the fiber is finished and resume() must not be called again.
-  Fiber(std::size_t stack_bytes, std::function<void()> entry);
+  /// The stack is mapped, not filled: it costs memory only as the fiber
+  /// touches it.
+  explicit Fiber(std::function<void()> entry);
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -65,9 +65,11 @@ class Fiber {
   static void trampoline(unsigned hi, unsigned lo);
   void run_entry();
 
+  /// Lowest usable stack byte; a PROT_NONE guard page sits just below.
+  [[nodiscard]] std::byte* stack_base() const noexcept;
+
   std::function<void()> entry_;
-  std::unique_ptr<std::byte[]> stack_;
-  std::size_t stack_bytes_;
+  std::byte* map_ = nullptr;  ///< guard page + stack, owned (munmap)
   ucontext_t ctx_{};      ///< the fiber's suspended context
   ucontext_t ret_ctx_{};  ///< where park() returns to (set per resume)
   bool started_ = false;

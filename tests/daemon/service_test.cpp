@@ -336,14 +336,31 @@ TEST(Service, KillCheckpointsAndSealsMidRun) {
   spec.snapshot_period_cycles = 50'000;
   ASSERT_TRUE(svc.submit(spec).ok);
 
-  // Let it get properly underway (class W runs for seconds).
+  // Let it get properly underway (class W runs for seconds). Mid-run
+  // means every node is counting: a kill that lands before some node's
+  // ranks initialized leaves that node no dump or trace to seal, which a
+  // slow (sanitized) build makes likely.
   SessionStatus st;
-  for (int i = 0; i < 1000; ++i) {
+  bool all_counting = false;
+  for (int i = 0; i < 60'000 && !all_counting; ++i) {
     ASSERT_TRUE(svc.status("victim", &st));
-    if (st.state == SessionState::kRunning) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (st.state == SessionState::kRunning && fs::exists(st.snapshot_path)) {
+      const SnapshotReader r = SnapshotReader::open_file(st.snapshot_path);
+      NodeSnapshot snap;
+      unsigned counting = 0;
+      for (unsigned node = 0; node < r.num_nodes(); ++node) {
+        if (r.read_node(node, snap) && snap.state == SnapState::kCounting &&
+            snap.published_cycle > 0) {
+          ++counting;
+        }
+      }
+      all_counting = counting == 4;
+    }
+    if (!all_counting) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(all_counting) << "victim never had all four nodes counting";
 
   std::string err;
   ASSERT_TRUE(svc.kill("victim", &err)) << err;

@@ -6,12 +6,13 @@
 //     counts all three (L2/L3 reads, L3 writes), misses <= accesses where
 //     there is no hit counter (L1D, L2 writes).
 //
-//  2. Golden digests: per node, per set, in all four counter modes, under
-//     both schedulers, the CRC32 of the 256 counter deltas and the set's
-//     first-start/last-stop cycle stamps must equal a committed table. The
-//     table was recorded when the per-instruction event emission and the
-//     virtual cache walk still existed and matched the fast paths exactly,
-//     so it pins the counters those paths produced.
+//  2. Golden digests: per node, per set, in all four counter modes, on one
+//     scheduler worker (kSerial) and on two (kParallel), the CRC32 of the
+//     256 counter deltas and the set's first-start/last-stop cycle stamps
+//     must equal a committed table. The table was recorded when the
+//     per-instruction event emission and the virtual cache walk still
+//     existed and matched the fast paths exactly, so it pins the counters
+//     those paths produced.
 #include <gtest/gtest.h>
 
 #include <algorithm>

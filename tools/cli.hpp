@@ -333,14 +333,14 @@ struct SchedArgs {
   unsigned jobs = 0;
 };
 
-/// Declare --sched/--jobs once. Both dispatchers produce byte-identical
-/// results; parallel trades the serial oracle's one-thread-per-rank for a
-/// bounded worker pool running rank fibers concurrently.
+/// Declare --sched/--jobs once. Ranks run as fibers in greedy (cycle,
+/// rank) order either way, so both modes produce byte-identical results;
+/// parallel lets rank segments of different nodes run concurrently.
 inline void add_sched_flags(FlagSet& fs, SchedArgs& a) {
   fs.value("sched", "MODE",
-           "dispatcher: 'serial' (token passing, one thread per rank) or "
-           "'parallel' (epoch scheduler: rank fibers on a bounded worker "
-           "pool, byte-identical results)",
+           "scheduler workers: 'serial' (one worker runs every rank fiber) "
+           "or 'parallel' (--jobs workers run different nodes' rank fibers "
+           "concurrently); byte-identical results",
            [&a](const char* v) {
              if (std::strcmp(v, "serial") == 0) {
                a.sched = rt::SchedMode::kSerial;
