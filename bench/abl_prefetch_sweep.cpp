@@ -31,10 +31,10 @@ int main(int argc, char** argv) {
       nas::RunConfig cfg;
       cfg.bench = b;
       cfg.cls = args.cls;
-      cfg.num_nodes = args.nodes;
-      cfg.mode = sys::OpMode::kVnm;
-      cfg.boot.prefetch.enabled = d > 0;
-      cfg.boot.prefetch.depth = d;
+      cfg.machine.num_nodes = args.nodes;
+      cfg.machine.mode = sys::OpMode::kVnm;
+      cfg.machine.boot.prefetch.enabled = d > 0;
+      cfg.machine.boot.prefetch.depth = d;
       const auto out = nas::run_benchmark(cfg);
       ok = ok && out.result.verified;
       row.push_back(bench::fmt_double(out.record.exec_cycles / 1e6));

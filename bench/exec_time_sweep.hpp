@@ -30,10 +30,11 @@ inline int run_exec_time_sweep(const char* figure,
       nas::RunConfig cfg;
       cfg.bench = b;
       cfg.cls = args.cls;
-      cfg.num_nodes = args.nodes;
-      cfg.mode = sys::OpMode::kVnm;
-      cfg.opt = cfg_opt;
-      cfg.ranks_override = ranks_for(b, args.nodes, cfg.mode);
+      cfg.machine.num_nodes = args.nodes;
+      cfg.machine.mode = sys::OpMode::kVnm;
+      cfg.machine.opt = cfg_opt;
+      cfg.machine.num_ranks_override =
+          ranks_for(b, args.nodes, cfg.machine.mode);
       const auto out = nas::run_benchmark(cfg);
       all_ok = all_ok && out.result.verified;
       per_app.push_back(out.record.exec_cycles);

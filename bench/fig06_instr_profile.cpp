@@ -21,18 +21,20 @@ int main(int argc, char** argv) {
     nas::RunConfig cfg;
     cfg.bench = b;
     cfg.cls = args.cls;
-    cfg.num_nodes = args.nodes;
-    cfg.mode = sys::OpMode::kVnm;
-    cfg.ranks_override = bench::ranks_for(b, args.nodes, cfg.mode);
+    cfg.machine.num_nodes = args.nodes;
+    cfg.machine.mode = sys::OpMode::kVnm;
+    cfg.machine.num_ranks_override =
+        bench::ranks_for(b, args.nodes, cfg.machine.mode);
     const auto out = nas::run_benchmark(cfg);
     all_ok = all_ok && out.result.verified;
     const auto& fp = out.record.fp;
     auto frac = [&](isa::FpOp op) {
       return strfmt("%5.1f%%", 100.0 * fp.fraction(op));
     };
-    const unsigned ranks = cfg.ranks_override
-                               ? cfg.ranks_override
-                               : args.nodes * sys::processes_per_node(cfg.mode);
+    const unsigned ranks =
+        cfg.machine.num_ranks_override
+            ? cfg.machine.num_ranks_override
+            : args.nodes * sys::processes_per_node(cfg.machine.mode);
     t.row({std::string(nas::name(b)), strfmt("%u", ranks),
            frac(isa::FpOp::kAddSub), frac(isa::FpOp::kMult),
            frac(isa::FpOp::kFma), frac(isa::FpOp::kDiv),

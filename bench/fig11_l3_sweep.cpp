@@ -29,10 +29,11 @@ int main(int argc, char** argv) {
       nas::RunConfig cfg;
       cfg.bench = b;
       cfg.cls = args.cls;
-      cfg.num_nodes = args.nodes;
-      cfg.mode = sys::OpMode::kVnm;
-      cfg.boot.l3_size_bytes = mb * MiB;
-      cfg.ranks_override = bench::ranks_for(b, args.nodes, cfg.mode);
+      cfg.machine.num_nodes = args.nodes;
+      cfg.machine.mode = sys::OpMode::kVnm;
+      cfg.machine.boot.l3_size_bytes = mb * MiB;
+      cfg.machine.num_ranks_override =
+          bench::ranks_for(b, args.nodes, cfg.machine.mode);
       const auto out = nas::run_benchmark(cfg);
       traffic.push_back(out.record.ddr_traffic_bytes);
       row.push_back(bench::fmt_double(out.record.ddr_traffic_bytes / 1e6));

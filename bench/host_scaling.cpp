@@ -25,10 +25,7 @@
 #include <vector>
 
 #include "bench/util.hpp"
-#include "core/session.hpp"
-#include "nas/kernel.hpp"
-#include "runtime/machine.hpp"
-#include "runtime/rankctx.hpp"
+#include "nas/runner.hpp"
 
 using namespace bgp;
 
@@ -42,32 +39,22 @@ struct RunResult {
 
 RunResult one_run(nas::Benchmark bench, nas::ProblemClass cls, unsigned nodes,
                   rt::SchedMode sched, unsigned jobs) {
-  rt::MachineConfig mc;
-  mc.num_nodes = nodes;
-  mc.mode = sys::OpMode::kVnm;
-  mc.sched = sched;
-  mc.jobs = jobs;
-  rt::Machine machine(mc);
+  nas::RunConfig cfg;
+  cfg.bench = bench;
+  cfg.cls = cls;
+  cfg.machine.num_nodes = nodes;
+  cfg.machine.sched = sched;
+  cfg.machine.jobs = jobs;
+  nas::Run run(cfg);
 
-  pc::Options opts;
-  opts.app_name = std::string(nas::name(bench));
-  opts.write_dumps = false;
-  pc::Session session(machine, opts);
-  session.link_with_mpi();
-
-  auto kernel = nas::make_kernel(bench, cls);
   const auto t0 = std::chrono::steady_clock::now();
-  machine.run([&](rt::RankCtx& ctx) {
-    ctx.mpi_init();
-    kernel->run(ctx);
-    ctx.mpi_finalize();
-  });
+  const nas::RunOutput out = run.run();
   const auto t1 = std::chrono::steady_clock::now();
 
   RunResult r;
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.sim_cycles = machine.elapsed();
-  r.verified = kernel->result().verified;
+  r.sim_cycles = out.elapsed;
+  r.verified = out.result.verified;
   return r;
 }
 

@@ -28,20 +28,22 @@ inline std::vector<ModePair> run_mode_comparison(unsigned vnm_nodes,
     nas::RunConfig vnm;
     vnm.bench = b;
     vnm.cls = cls;
-    vnm.num_nodes = vnm_nodes;
-    vnm.mode = sys::OpMode::kVnm;
-    vnm.ranks_override = ranks_for(b, vnm_nodes, vnm.mode);
+    vnm.machine.num_nodes = vnm_nodes;
+    vnm.machine.mode = sys::OpMode::kVnm;
+    vnm.machine.num_ranks_override =
+        ranks_for(b, vnm_nodes, vnm.machine.mode);
     mp.vnm = nas::run_benchmark(vnm);
 
     nas::RunConfig smp;
     smp.bench = b;
     smp.cls = cls;
-    smp.num_nodes = vnm_nodes * 4;
-    smp.mode = sys::OpMode::kSmp1;
+    smp.machine.num_nodes = vnm_nodes * 4;
+    smp.machine.mode = sys::OpMode::kSmp1;
     // Paper §VIII: "we reduced the L3 cache size to 2 MB per node using the
     // svchost options" so one process sees the same cache as a VNM share.
-    smp.boot.l3_size_bytes = 2 * MiB;
-    smp.ranks_override = ranks_for(b, smp.num_nodes, smp.mode);
+    smp.machine.boot.l3_size_bytes = 2 * MiB;
+    smp.machine.num_ranks_override =
+        ranks_for(b, smp.machine.num_nodes, smp.machine.mode);
     mp.smp = nas::run_benchmark(smp);
 
     out.push_back(std::move(mp));

@@ -28,9 +28,9 @@ inline int run_simd_sweep(const char* figure, nas::Benchmark b, int argc,
     nas::RunConfig cfg;
     cfg.bench = b;
     cfg.cls = args.cls;
-    cfg.num_nodes = args.nodes;
-    cfg.mode = sys::OpMode::kVnm;
-    cfg.opt = cfg_opt;
+    cfg.machine.num_nodes = args.nodes;
+    cfg.machine.mode = sys::OpMode::kVnm;
+    cfg.machine.opt = cfg_opt;
     const auto out = nas::run_benchmark(cfg);
     all_ok = all_ok && out.result.verified;
     const auto& fp = out.record.fp;

@@ -4,12 +4,10 @@
 // whole-run aggregates; the time-series layer shows the same metrics
 // resolved over execution time.
 #include <filesystem>
-#include <memory>
 
 #include "bench/util.hpp"
-#include "core/session.hpp"
+#include "nas/runner.hpp"
 #include "postproc/timeline.hpp"
-#include "runtime/rankctx.hpp"
 
 using namespace bgp;
 
@@ -22,33 +20,22 @@ struct TimelineOutcome {
 
 TimelineOutcome trace_one(nas::Benchmark bench, nas::ProblemClass cls,
                           unsigned nodes, const std::filesystem::path& dir) {
-  rt::MachineConfig mc;
-  mc.num_nodes = nodes;
-  mc.mode = sys::OpMode::kSmp1;
-  rt::Machine machine(mc);
-
-  pc::Options opts;
-  opts.app_name = std::string(nas::name(bench));
-  opts.dump_dir = dir;
-  opts.write_dumps = false;
-  opts.trace.enabled = true;
-  opts.trace.interval_cycles = 4'000;
-  opts.trace.trace_dir = dir;
-  pc::Session session(machine, opts);
-  session.link_with_mpi();
-
-  auto kernel = nas::make_kernel(bench, cls);
-  machine.run([&](rt::RankCtx& ctx) {
-    ctx.mpi_init();
-    kernel->run(ctx);
-    ctx.mpi_finalize();
-  });
+  nas::RunConfig cfg;
+  cfg.bench = bench;
+  cfg.cls = cls;
+  cfg.machine.num_nodes = nodes;
+  cfg.machine.mode = sys::OpMode::kSmp1;
+  cfg.options.dump_dir = dir;
+  cfg.options.trace.enabled = true;
+  cfg.options.trace.interval_cycles = 4'000;
+  cfg.options.trace.trace_dir = dir;
+  const nas::RunOutput run = nas::Run(cfg).run();
 
   post::TimelineOptions mine;
   mine.expected_nodes = nodes;
   TimelineOutcome out;
-  out.report = post::mine_timeline(dir, opts.app_name, mine);
-  out.verified = kernel->result().verified;
+  out.report = post::mine_timeline(dir, std::string(nas::name(bench)), mine);
+  out.verified = run.result.verified;
   return out;
 }
 

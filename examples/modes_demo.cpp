@@ -31,8 +31,8 @@ int main(int argc, char** argv) {
     nas::RunConfig cfg;
     cfg.bench = bench;
     cfg.cls = nas::ProblemClass::kA;
-    cfg.num_nodes = m.nodes;
-    cfg.mode = m.mode;
+    cfg.machine.num_nodes = m.nodes;
+    cfg.machine.mode = m.mode;
     const auto out = nas::run_benchmark(cfg);
     std::printf("%-8s %8u %8u %14.2f %14.1f %14s %s\n",
                 std::string(sys::to_string(m.mode)).c_str(), m.nodes, kRanks,

@@ -141,12 +141,33 @@ json::Value JobSpec::to_json() const {
   return v;
 }
 
+nas::RunConfig JobSpec::run_config(const std::filesystem::path& dir) const {
+  nas::RunConfig rc;
+  rc.bench = bench;
+  rc.cls = cls;
+  rc.machine.num_nodes = nodes;
+  rc.machine.mode = mode;
+  rc.machine.num_ranks_override = ranks;
+  rc.machine.sched = sched;
+  rc.machine.jobs = jobs;
+  rc.options.dump_dir = dir;
+  rc.options.write_dumps = true;
+  rc.options.trace.enabled = trace;
+  rc.options.trace.interval_cycles = interval_cycles;
+  rc.options.trace.preset = preset;
+  rc.options.trace.trace_dir = dir;
+  rc.options.obs.enabled = obs;
+  rc.fault = nas::node_deaths(fault_seed, nodes, deaths);
+  rc.ft = ftp;
+  return rc;
+}
+
 u64 estimate_resident_bytes(const JobSpec& spec) {
   // Per node: the modeled L3 array dominates (8 MiB default) plus DDR/
-  // snoop/core structures; round to 10 MiB. Per rank: a fiber or thread
-  // stack plus mailbox slack; 1 MiB covers the default fiber stack. The
-  // snapshot mapping adds two full counter slots per node plus the
-  // metrics text (~4.2 KiB + 128 KiB).
+  // snoop/core structures; round to 10 MiB. Per rank: its fiber stack (a
+  // 1 MiB mapping, resident only as far as it is touched) plus mailbox
+  // slack; 1 MiB covers both. The snapshot mapping adds two full counter
+  // slots per node plus the metrics text (~4.2 KiB + 128 KiB).
   const u64 per_node = 10 * MiB;
   const u64 per_rank = 1 * MiB;
   const u64 snapshot = u64{spec.nodes} * 4352 + 160 * 1024;

@@ -5,12 +5,13 @@
 // keys and malformed values are structured errors, never silent defaults.
 #pragma once
 
+#include <filesystem>
 #include <optional>
 #include <string>
 
 #include "daemon/json.hpp"
 #include "ft/ftypes.hpp"
-#include "nas/kernel.hpp"
+#include "nas/runner.hpp"
 #include "runtime/sched.hpp"
 #include "sys/mode.hpp"
 
@@ -47,6 +48,11 @@ struct JobSpec {
     return ranks == 0 ? capacity : ranks;
   }
 
+  /// The run this job describes, with its dumps, traces and span files in
+  /// `dir`. A session runs it through nas::Run, the path bgpc_run takes.
+  [[nodiscard]] nas::RunConfig run_config(
+      const std::filesystem::path& dir) const;
+
   /// Strict parse of a control-protocol submit object. Throws
   /// json::JsonError (with a human detail) on unknown keys or bad values.
   [[nodiscard]] static JobSpec from_json(const json::Value& v);
@@ -62,8 +68,8 @@ struct Quotas {
 };
 
 /// Deterministic resident-memory model for admission control: the simulated
-/// L3 + DDR structures per node, fiber/thread stacks per rank, and the
-/// snapshot file mapping. Intentionally a coarse upper-bound model — the
+/// L3 + DDR structures per node, a fiber stack per rank, and the snapshot
+/// file mapping. Intentionally a coarse upper-bound model — the
 /// point is a stable, explainable admission decision.
 [[nodiscard]] u64 estimate_resident_bytes(const JobSpec& spec);
 

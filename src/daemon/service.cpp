@@ -7,13 +7,8 @@
 #include "common/binio.hpp"
 #include "common/strfmt.hpp"
 #include "core/node_monitor.hpp"
-#include "core/session.hpp"
 #include "daemon/attach.hpp"
-#include "fault/fault.hpp"
-#include "ft/ftcomm.hpp"
-#include "nas/kernel.hpp"
-#include "runtime/machine.hpp"
-#include "runtime/obs_scope.hpp"
+#include "nas/runner.hpp"
 
 namespace bgp::daemon {
 
@@ -595,35 +590,13 @@ void Service::run_session(ActiveSession& s) {
   try {
     std::filesystem::create_directories(s.dir);
 
-    // The construction below mirrors bgpc_run exactly: a finished daemon
-    // session's dump files are byte-identical to a same-seed batch run with
-    // the same snapshot configuration.
-    rt::MachineConfig mc;
-    mc.num_nodes = spec.nodes;
-    mc.mode = spec.mode;
-    mc.num_ranks_override = spec.ranks;
-    mc.sched = spec.sched;
-    mc.jobs = spec.jobs;
-    rt::Machine machine(mc);
-
-    fault::FaultInjector injector{[&] {
-      fault::FaultSpec fsp;
-      fsp.node_deaths = spec.deaths;
-      return fault::FaultPlan::random(spec.fault_seed, spec.nodes, fsp);
-    }()};
-    if (spec.deaths > 0) machine.set_fault_injector(&injector);
-    machine.set_ft_params(spec.ftp);
-
-    pc::Options opts;
-    opts.app_name = std::string(nas::name(spec.bench));
-    opts.dump_dir = s.dir;
-    opts.trace.enabled = spec.trace;
-    opts.trace.interval_cycles = spec.interval_cycles;
-    opts.trace.preset = spec.preset;
-    opts.trace.trace_dir = s.dir;
-    opts.obs.enabled = spec.obs;
-    pc::Session session(machine, opts);
-    session.link_with_mpi();
+    // The same nas::Run bgpc_run drives: a finished daemon session's dump
+    // files are byte-identical to a same-seed batch run with the same
+    // snapshot configuration.
+    nas::Run run(spec.run_config(s.dir));
+    rt::Machine& machine = run.machine();
+    pc::Session& session = run.session();
+    const std::string app(nas::name(spec.bench));
 
     PublisherConfig pub_cfg = config_.snapshot;
     if (spec.snapshot_period_cycles.has_value()) {
@@ -631,8 +604,8 @@ void Service::run_session(ActiveSession& s) {
     }
     pub_cfg.faults = config_.faults;
     pub_cfg.host_publish_seconds = host_obs_->snapshot_publish;
-    SnapshotPublisher publisher(machine, s.snapshot_path, opts.app_name,
-                                s.name, pub_cfg);
+    SnapshotPublisher publisher(machine, s.snapshot_path, app, s.name,
+                                pub_cfg);
     if (session.flight_recorder() != nullptr) {
       publisher.set_metrics_source(&session.flight_recorder()->metrics());
     }
@@ -645,7 +618,7 @@ void Service::run_session(ActiveSession& s) {
     }
     // Null the machine handle before the Machine object dies — on every
     // exit path, including unwinding — so kill() never chases a dangling
-    // pointer. Declared after `machine`, so it runs first.
+    // pointer. Declared after `run`, so it runs first.
     struct MachineHandleGuard {
       ActiveSession* s;
       ~MachineHandleGuard() {
@@ -654,37 +627,12 @@ void Service::run_session(ActiveSession& s) {
       }
     } unpublish{&s};
 
-    auto kernel = nas::make_kernel(spec.bench, spec.cls);
-    const std::string region = "region." + opts.app_name;
-    bool stopped = false;
-    try {
-      if (spec.ftp.enabled) {
-        machine.run([&](rt::RankCtx& ctx) {
-          ft::run_guarded(ctx, [&](rt::RankCtx& c) {
-            c.mpi_init();
-            rt::ObsScope span(c, region, obs::SpanCat::kRegion);
-            kernel->run(c);
-          });
-          ft::finalize_guarded(ctx);
-        });
-      } else {
-        machine.run([&](rt::RankCtx& ctx) {
-          ctx.mpi_init();
-          {
-            rt::ObsScope span(ctx, region, obs::SpanCat::kRegion);
-            kernel->run(ctx);
-          }
-          ctx.mpi_finalize();
-        });
-      }
-    } catch (const rt::RunStopped&) {
-      // Kill/drain checkpoint: seal in-flight traces, dump every node that
-      // never reached its finalize — all through the atomic write paths.
-      stopped = true;
-      session.seal_all_traces();
-      session.checkpoint_dump();
+    const nas::RunOutput out = run.run();
+    if (out.stopped) {
+      // Kill/drain checkpoint: the run sealed in-flight traces and dumped
+      // every node that never reached its finalize.
       json::Value ckpt = json::Value::object();
-      ckpt.set("sim_cycles", json::Value(machine.elapsed()));
+      ckpt.set("sim_cycles", json::Value(out.elapsed));
       ckpt.set("dump_files", json::Value(u64{session.dump_files().size()}));
       journal_append(journal_op::kCheckpoint, s.name, std::move(ckpt));
     }
@@ -692,30 +640,21 @@ void Service::run_session(ActiveSession& s) {
     snapshots_->add(publisher.publishes());
 
     std::lock_guard<std::mutex> lk(s.mu);
-    s.sim_cycles = machine.elapsed();
+    s.sim_cycles = out.elapsed;
     s.dump_files = session.dump_files().size();
     s.trace_files = session.trace_files().size();
-    if (stopped) {
+    if (out.stopped) {
       s.state = SessionState::kKilled;
       s.detail = strfmt("stopped mid-run; %zu checkpoint dump(s) written",
                         s.dump_files);
       killed_->add();
     } else {
-      const std::vector<unsigned> dead = machine.dead_nodes();
-      if (spec.ftp.enabled && !dead.empty()) {
-        bool writes_ok = true;
-        for (const pc::DumpWriteOutcome& o : session.write_outcomes()) {
-          writes_ok = writes_ok && o.ok;
-        }
-        s.verified =
-            writes_ok && s.dump_files == std::size_t{spec.nodes} - dead.size();
-        s.detail = strfmt("degraded FT run: %zu node death(s), %zu survivor "
-                          "dump(s)",
-                          dead.size(), s.dump_files);
-      } else {
-        s.verified = kernel->result().verified;
-        s.detail = kernel->result().detail;
-      }
+      s.verified = run.succeeded(out);
+      s.detail = spec.ftp.enabled && !out.dead_nodes.empty()
+                     ? strfmt("degraded FT run: %zu node death(s), %zu "
+                              "survivor dump(s)",
+                              out.dead_nodes.size(), s.dump_files)
+                     : out.result.detail;
       s.state = SessionState::kFinished;
       finished_->add();
     }

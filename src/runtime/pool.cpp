@@ -78,7 +78,6 @@ void Fiber::run_entry() {
                                   &host_stack_size_);
 #endif
   entry_();
-  finished_ = true;
   // Final switch out: the fiber never resumes, so its fake stack (if any)
   // is released rather than saved.
 #ifdef BGP_ASAN_FIBERS
@@ -92,7 +91,6 @@ void Fiber::run_entry() {
 }
 
 void Fiber::resume() {
-  started_ = true;
 #ifdef BGP_TSAN_FIBERS
   tsan_host_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);

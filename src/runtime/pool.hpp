@@ -59,8 +59,6 @@ class Fiber {
   /// Switch from inside the fiber back to whoever resumed it.
   void park();
 
-  [[nodiscard]] bool finished() const noexcept { return finished_; }
-
  private:
   static void trampoline(unsigned hi, unsigned lo);
   void run_entry();
@@ -72,8 +70,6 @@ class Fiber {
   std::byte* map_ = nullptr;  ///< guard page + stack, owned (munmap)
   ucontext_t ctx_{};      ///< the fiber's suspended context
   ucontext_t ret_ctx_{};  ///< where park() returns to (set per resume)
-  bool started_ = false;
-  bool finished_ = false;
 
 #ifdef BGP_ASAN_FIBERS
   void* fiber_fake_stack_ = nullptr;  ///< fiber side, saved when parking

@@ -17,10 +17,10 @@ nas::RunOutput run(nas::Benchmark b, unsigned nodes = 4,
   nas::RunConfig cfg;
   cfg.bench = b;
   cfg.cls = nas::ProblemClass::kS;
-  cfg.num_nodes = nodes;
-  cfg.mode = mode;
-  cfg.opt = opt::OptConfig::parse(opt);
-  cfg.boot.l3_size_bytes = l3_bytes;
+  cfg.machine.num_nodes = nodes;
+  cfg.machine.mode = mode;
+  cfg.machine.opt = opt::OptConfig::parse(opt);
+  cfg.machine.boot.l3_size_bytes = l3_bytes;
   return nas::run_benchmark(cfg);
 }
 
@@ -102,13 +102,13 @@ TEST(Characterization, Fig12VnmTrafficRatioBoundedByRankPacking) {
     nas::RunConfig vnm;
     vnm.bench = b;
     vnm.cls = nas::ProblemClass::kW;
-    vnm.num_nodes = 4;
-    vnm.mode = sys::OpMode::kVnm;
+    vnm.machine.num_nodes = 4;
+    vnm.machine.mode = sys::OpMode::kVnm;
     const auto v = nas::run_benchmark(vnm);
     nas::RunConfig smp = vnm;
-    smp.num_nodes = 16;
-    smp.mode = sys::OpMode::kSmp1;
-    smp.boot.l3_size_bytes = 2 * MiB;
+    smp.machine.num_nodes = 16;
+    smp.machine.mode = sys::OpMode::kSmp1;
+    smp.machine.boot.l3_size_bytes = 2 * MiB;
     const auto s = nas::run_benchmark(smp);
     ASSERT_TRUE(v.result.verified && s.result.verified);
     const double ratio =

@@ -10,36 +10,19 @@
 //   bgpc_trace --mine-only DIR APP [options]   mine existing traces
 //   bgpc_trace --list                          list benchmarks, modes, presets
 //
-// See --help for the full flag list (run flags mirror bgpc_run; the
-// mining flags are shared between both modes).
+// See --help for the full flag list (the run flags are bgpc_run's, from
+// cli::add_run_flags; the mining flags are shared between both modes).
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <memory>
 #include <string>
 
 #include "cli.hpp"
-#include "core/session.hpp"
-#include "fault/fault.hpp"
-#include "nas/kernel.hpp"
+#include "nas/runner.hpp"
 #include "postproc/timeline.hpp"
 
 using namespace bgp;
 
 namespace {
-
-int list_choices() {
-  std::printf("benchmarks:");
-  for (const nas::Benchmark b : nas::all_benchmarks()) {
-    std::printf(" %s", std::string(nas::name(b)).c_str());
-  }
-  std::printf("\nmodes: smp1 smp4 dual vnm\nclasses: S W A\nevent presets:");
-  for (const std::string& p : trace::trace_preset_names()) {
-    std::printf(" %s", p.c_str());
-  }
-  std::printf("\n");
-  return 0;
-}
 
 struct MiningArgs {
   post::TimelineOptions opts;
@@ -102,7 +85,7 @@ int report_and_write(const post::TimelineReport& report, const MiningArgs& m) {
 int main(int argc, char** argv) {
   MiningArgs mining;
 
-  if (argc >= 2 && cli::match_flag(argv[1], "list")) return list_choices();
+  if (argc >= 2 && cli::match_flag(argv[1], "list")) return cli::list_choices();
   if (argc >= 2 && cli::match_flag(argv[1], "mine-only")) {
     cli::FlagSet fs("bgpc_trace --mine-only", "DIR APP");
     add_mining_flags(fs, mining);
@@ -117,51 +100,21 @@ int main(int argc, char** argv) {
                             mining);
   }
 
-  unsigned nodes = 4, ranks = 0, kill_nodes = 0;
+  nas::RunConfig cfg;
+  cfg.cls = nas::ProblemClass::kS;
+  cfg.options.dump_dir = "bgpc_traces";
+  cfg.options.trace.trace_dir = cfg.options.dump_dir;
+  cfg.options.trace.enabled = true;
+  cfg.options.write_dumps = true;
+  unsigned kill_nodes = 0;
   u64 fault_seed = 1;
-  sys::OpMode mode = sys::OpMode::kVnm;
-  nas::ProblemClass cls = nas::ProblemClass::kS;
-  std::filesystem::path dir = "bgpc_traces";
-  trace::TraceConfig tc;
-  tc.enabled = true;
   cli::ObsArgs obs_args;
-  cli::SchedArgs sched_args;
+  trace::TraceConfig& tc = cfg.options.trace;
 
   cli::FlagSet fs("bgpc_trace", "BENCH");
   fs.flag("list", "list benchmarks, modes and event presets",
-          [] { std::exit(list_choices()); });
-  fs.positive_value("nodes", "N", "partition size (default 4)", &nodes);
-  fs.value("mode", "M", "smp1|smp4|dual|vnm (default vnm)",
-           [&](const char* v) { mode = sys::parse_mode(v); });
-  fs.value("class", "C", "problem class S|W|A (default S)",
-           [&](const char* v) { cls = nas::parse_class(v); });
-  fs.unsigned_value("ranks", "N", "use fewer ranks than the partition hosts",
-                    &ranks);
-  fs.path_value("dumps", "DIR", "trace/dump directory (default bgpc_traces)",
-                &dir);
-  fs.value("interval-cycles", "N", "sampling interval (default 10000)",
-           [&](const char* v) {
-             tc.interval_cycles = cli::parse_u64("--interval-cycles", v);
-             if (tc.interval_cycles == 0) {
-               throw std::invalid_argument("--interval-cycles must be positive");
-             }
-           });
-  fs.value("interval", "DUR",
-           "sampling interval as simulated time with a unit suffix "
-           "(e.g. 12us); the duration twin of --interval-cycles",
-           [&](const char* v) {
-             tc.interval_cycles =
-                 cli::duration_to_cycles(cli::parse_duration_ns("--interval", v));
-             if (tc.interval_cycles == 0) {
-               throw std::invalid_argument(
-                   "--interval is shorter than one 850 MHz cycle");
-             }
-           });
-  fs.value("events", "PRESET", "default|fp|mix|mem (see --list)",
-           [&](const char* v) {
-             tc.preset = v;  // validated against the catalogue
-             (void)trace::preset_trace_events(tc.preset, 0);
-           });
+          [] { std::exit(cli::list_choices()); });
+  cli::add_run_flags(fs, cfg, fault_seed);
   fs.value("buffer", "N",
            "per-node ring capacity in intervals (default 4096)",
            [&](const char* v) {
@@ -170,11 +123,8 @@ int main(int argc, char** argv) {
   fs.unsigned_value("kill-nodes", "N",
                     "kill N random nodes mid-run (fault injection)",
                     &kill_nodes);
-  fs.u64_value("fault-seed", "S", "seed for --kill-nodes (default 1)",
-               &fault_seed);
   add_mining_flags(fs, mining);
   cli::add_obs_flags(fs, obs_args);
-  cli::add_sched_flags(fs, sched_args);
 
   if (argc < 2) {
     fs.print_usage(stderr);
@@ -186,9 +136,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  nas::Benchmark bench;
   try {
-    bench = nas::parse_benchmark(argv[1]);
+    cfg.bench = nas::parse_benchmark(argv[1]);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bgpc_trace: %s\n", e.what());
     fs.print_usage(stderr);
@@ -196,63 +145,37 @@ int main(int argc, char** argv) {
   }
   if (const auto rc = fs.parse(argc, argv, 2)) return *rc;
 
+  const std::filesystem::path& dir = cfg.options.dump_dir;
   std::filesystem::create_directories(dir);
-  tc.trace_dir = dir;
-
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (kill_nodes > 0) {
-    fault::FaultSpec spec;
-    spec.node_deaths = kill_nodes;
-    injector = std::make_unique<fault::FaultInjector>(
-        fault::FaultPlan::random(fault_seed, nodes, spec));
-  }
-
-  rt::MachineConfig mc;
-  mc.num_nodes = nodes;
-  mc.mode = mode;
-  mc.num_ranks_override = ranks;
-  cli::apply_sched_args(sched_args, mc);
-  rt::Machine machine(mc);
-  if (injector) machine.set_fault_injector(injector.get());
-
-  pc::Options opts;
-  opts.app_name = std::string(nas::name(bench));
-  opts.dump_dir = dir;
-  opts.trace = tc;
-  opts.obs = obs_args.config;
-  if (injector) opts.fault = injector.get();
-  pc::Session session(machine, opts);
-  session.link_with_mpi();
+  const unsigned nodes = cfg.machine.num_nodes;
+  cfg.fault = nas::node_deaths(fault_seed, nodes, kill_nodes);
+  cfg.options.obs = obs_args.config;
+  const std::string app(nas::name(cfg.bench));
+  nas::Run run(cfg);
 
   std::printf("%s class %s | %u nodes %s (%u ranks) | interval %llu cycles | "
               "events %s | buffer %zu\n",
-              opts.app_name.c_str(), std::string(nas::name(cls)).c_str(),
-              nodes, std::string(sys::to_string(mode)).c_str(),
-              machine.num_ranks(),
+              app.c_str(), std::string(nas::name(cfg.cls)).c_str(), nodes,
+              std::string(sys::to_string(cfg.machine.mode)).c_str(),
+              run.machine().num_ranks(),
               static_cast<unsigned long long>(tc.interval_cycles),
               tc.preset.c_str(), tc.buffer_capacity);
 
-  auto kernel = nas::make_kernel(bench, cls);
-  machine.run([&](rt::RankCtx& ctx) {
-    ctx.mpi_init();
-    kernel->run(ctx);
-    ctx.mpi_finalize();
-  });
-
-  if (!machine.dead_nodes().empty()) {
+  const nas::RunOutput out = run.run();
+  if (!out.dead_nodes.empty()) {
     std::printf("%zu node(s) died mid-run — their traces are truncated\n",
-                machine.dead_nodes().size());
+                out.dead_nodes.size());
   }
   std::printf("sealed %zu trace file(s) in %s\n",
-              session.trace_files().size(), dir.string().c_str());
+              run.session().trace_files().size(), dir.string().c_str());
 
   const int obs_rc = cli::write_obs_outputs(
-      obs_args, session.flight_recorder(), opts.app_name, mining.quiet);
+      obs_args, run.session().flight_recorder(), app, mining.quiet);
 
   mining.opts.expected_nodes =
       mining.opts.expected_nodes == 0 ? nodes : mining.opts.expected_nodes;
   const post::TimelineReport report =
-      post::mine_timeline(dir, opts.app_name, mining.opts);
+      post::mine_timeline(dir, app, mining.opts);
   const int mine_rc = report_and_write(report, mining);
-  return kernel->result().verified && obs_rc == 0 ? mine_rc : 1;
+  return out.result.verified && obs_rc == 0 ? mine_rc : 1;
 }

@@ -3,8 +3,9 @@
 // a useful message instead of silently falling back to 0, and a typed
 // flag table (FlagSet) that generates --help, answers --version with the
 // git describe baked in at build time, and exits 2 with usage on unknown
-// flags. The --obs-* observability flags are declared once here
-// (add_obs_flags) and reused by every tool that runs a Machine.
+// flags. The --obs-* observability flags (add_obs_flags) and the flags
+// that describe a benchmark run (add_run_flags) are declared once here
+// and reused by every tool that runs a Machine.
 #pragma once
 
 #include <cerrno>
@@ -20,10 +21,12 @@
 
 #include "common/strfmt.hpp"
 #include "common/types.hpp"
+#include "nas/runner.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/obs.hpp"
 #include "obs/promtext.hpp"
-#include "runtime/sched.hpp"
+#include "sys/mode.hpp"
+#include "trace/tracer.hpp"
 
 namespace bgp::cli {
 
@@ -327,25 +330,19 @@ class FlagSet {
   std::vector<Flag> flags_;
 };
 
-/// Scheduler selection shared by the run-a-Machine tools.
-struct SchedArgs {
-  rt::SchedMode sched = rt::SchedMode::kSerial;
-  unsigned jobs = 0;
-};
-
 /// Declare --sched/--jobs once. Ranks run as fibers in greedy (cycle,
 /// rank) order either way, so both modes produce byte-identical results;
 /// parallel lets rank segments of different nodes run concurrently.
-inline void add_sched_flags(FlagSet& fs, SchedArgs& a) {
+inline void add_sched_flags(FlagSet& fs, rt::MachineConfig& mc) {
   fs.value("sched", "MODE",
            "scheduler workers: 'serial' (one worker runs every rank fiber) "
            "or 'parallel' (--jobs workers run different nodes' rank fibers "
            "concurrently); byte-identical results",
-           [&a](const char* v) {
+           [&mc](const char* v) {
              if (std::strcmp(v, "serial") == 0) {
-               a.sched = rt::SchedMode::kSerial;
+               mc.sched = rt::SchedMode::kSerial;
              } else if (std::strcmp(v, "parallel") == 0) {
-               a.sched = rt::SchedMode::kParallel;
+               mc.sched = rt::SchedMode::kParallel;
              } else {
                throw std::invalid_argument(
                    strfmt("--sched must be serial or parallel, got '%s'", v));
@@ -354,14 +351,81 @@ inline void add_sched_flags(FlagSet& fs, SchedArgs& a) {
   fs.unsigned_value("jobs", "N",
                     "parallel scheduler worker threads (0 = hardware "
                     "concurrency; never more than the node count)",
-                    &a.jobs);
+                    &mc.jobs);
 }
 
-/// Copy the parsed scheduler selection into a MachineConfig.
-template <typename MachineConfigT>
-inline void apply_sched_args(const SchedArgs& a, MachineConfigT& mc) {
-  mc.sched = a.sched;
-  mc.jobs = a.jobs;
+/// Declare the flags every run-a-benchmark tool shares (bgpc_run,
+/// bgpc_trace): partition, class, dump/trace directory, trace sampling,
+/// fault seed and scheduler. The defaults shown in --help are the values
+/// the caller pre-filled into `cfg`. --dumps sets the dump and the trace
+/// directory. --fault-seed lands in `fault_seed`: the tool draws
+/// `cfg.fault` from it after parsing, once --nodes is known.
+inline void add_run_flags(FlagSet& fs, nas::RunConfig& cfg, u64& fault_seed) {
+  rt::MachineConfig& mc = cfg.machine;
+  fs.positive_value("nodes", "N",
+                    strfmt("partition size (default %u)", mc.num_nodes),
+                    &mc.num_nodes);
+  fs.value("mode", "M", "smp1|smp4|dual|vnm (default vnm)",
+           [&mc](const char* v) { mc.mode = sys::parse_mode(v); });
+  fs.value("class", "C",
+           strfmt("problem class S|W|A (default %s)",
+                  std::string(nas::name(cfg.cls)).c_str()),
+           [&cfg](const char* v) { cfg.cls = nas::parse_class(v); });
+  fs.unsigned_value("ranks", "N", "use fewer ranks than the partition hosts",
+                    &mc.num_ranks_override);
+  fs.value("dumps", "DIR",
+           strfmt("dump/trace directory (default %s)",
+                  cfg.options.dump_dir.string().c_str()),
+           [&cfg](const char* v) {
+             cfg.options.dump_dir = v;
+             cfg.options.trace.trace_dir = v;
+           });
+  trace::TraceConfig& tc = cfg.options.trace;
+  fs.value("interval-cycles", "N",
+           strfmt("trace sampling interval (default %llu)",
+                  static_cast<unsigned long long>(tc.interval_cycles)),
+           [&tc](const char* v) {
+             tc.interval_cycles = parse_u64("--interval-cycles", v);
+             if (tc.interval_cycles == 0) {
+               throw std::invalid_argument(
+                   "--interval-cycles must be positive");
+             }
+           });
+  fs.value("interval", "DUR",
+           "trace sampling interval as simulated time with a unit suffix "
+           "(e.g. 12us); the duration twin of --interval-cycles",
+           [&tc](const char* v) {
+             tc.interval_cycles =
+                 duration_to_cycles(parse_duration_ns("--interval", v));
+             if (tc.interval_cycles == 0) {
+               throw std::invalid_argument(
+                   "--interval is shorter than one 850 MHz cycle");
+             }
+           });
+  fs.value("events", "PRESET", "trace event preset (see --list)",
+           [&tc](const char* v) {
+             tc.preset = v;  // validated against the catalogue
+             (void)trace::preset_trace_events(tc.preset, 0);
+           });
+  fs.u64_value("fault-seed", "S",
+               "seed for the deterministic fault plan (default 1)",
+               &fault_seed);
+  add_sched_flags(fs, mc);
+}
+
+/// --list of the run-a-benchmark tools: benchmarks, modes, classes and
+/// trace event presets.
+inline int list_choices() {
+  std::printf("benchmarks:");
+  for (const nas::Benchmark b : nas::all_benchmarks()) {
+    std::printf(" %s", std::string(nas::name(b)).c_str());
+  }
+  std::printf("\nmodes: smp1 smp4 dual vnm\nclasses: S W A\nevent presets:");
+  for (const std::string& p : trace::trace_preset_names()) {
+    std::printf(" %s", p.c_str());
+  }
+  std::printf("\n");
+  return 0;
 }
 
 /// The observability surface shared by the run-a-Machine tools.
