@@ -58,15 +58,11 @@ JobSpec JobSpec::from_json(const json::Value& v) {
         spec.ranks = get_unsigned(val, key.c_str());
       } else if (key == "sched") {
         const std::string& s = val.as_string();
-        if (s == "serial") {
-          spec.sched = rt::SchedMode::kSerial;
-        } else if (s == "parallel") {
-          spec.sched = rt::SchedMode::kParallel;
-        } else {
+        if (s != "serial" && s != "parallel") {
           throw json::JsonError("'sched' must be \"serial\" or \"parallel\"");
         }
       } else if (key == "jobs") {
-        spec.jobs = get_unsigned(val, key.c_str());
+        (void)get_unsigned(val, key.c_str());
       } else if (key == "deaths") {
         spec.deaths = get_unsigned(val, key.c_str());
       } else if (key == "fault_seed") {
@@ -117,10 +113,6 @@ json::Value JobSpec::to_json() const {
   v.set("nodes", json::Value(u64{nodes}));
   v.set("mode", json::Value(mode_token(mode)));
   if (ranks != 0) v.set("ranks", json::Value(u64{ranks}));
-  v.set("sched", json::Value(sched == rt::SchedMode::kParallel
-                                 ? std::string("parallel")
-                                 : std::string("serial")));
-  if (jobs != 0) v.set("jobs", json::Value(u64{jobs}));
   if (deaths != 0) {
     v.set("deaths", json::Value(u64{deaths}));
     v.set("fault_seed", json::Value(fault_seed));
@@ -148,8 +140,6 @@ nas::RunConfig JobSpec::run_config(const std::filesystem::path& dir) const {
   rc.machine.num_nodes = nodes;
   rc.machine.mode = mode;
   rc.machine.num_ranks_override = ranks;
-  rc.machine.sched = sched;
-  rc.machine.jobs = jobs;
   rc.options.dump_dir = dir;
   rc.options.write_dumps = true;
   rc.options.trace.enabled = trace;

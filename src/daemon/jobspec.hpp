@@ -12,7 +12,6 @@
 #include "daemon/json.hpp"
 #include "ft/ftypes.hpp"
 #include "nas/runner.hpp"
-#include "runtime/sched.hpp"
 #include "sys/mode.hpp"
 
 namespace bgp::daemon {
@@ -25,8 +24,6 @@ struct JobSpec {
   unsigned nodes = 4;
   sys::OpMode mode = sys::OpMode::kVnm;
   unsigned ranks = 0;  ///< 0 = all the partition hosts
-  rt::SchedMode sched = rt::SchedMode::kSerial;
-  unsigned jobs = 0;
 
   unsigned deaths = 0;
   u64 fault_seed = 1;
@@ -55,6 +52,8 @@ struct JobSpec {
 
   /// Strict parse of a control-protocol submit object. Throws
   /// json::JsonError (with a human detail) on unknown keys or bad values.
+  /// The retired "sched" ("serial"|"parallel") and "jobs" (unsigned) keys
+  /// are validated and ignored, so journals that carry them still replay.
   [[nodiscard]] static JobSpec from_json(const json::Value& v);
   /// The wire form (round-trips through from_json).
   [[nodiscard]] json::Value to_json() const;

@@ -19,8 +19,8 @@ namespace bgp::nas {
 struct RunConfig {
   Benchmark bench = Benchmark::kEP;
   ProblemClass cls = ProblemClass::kW;
-  /// Partition size, operating mode, boot and compiler options, rank
-  /// override (the paper's 121 ranks for SP/BT) and scheduler workers.
+  /// Partition size, operating mode, boot and compiler options and rank
+  /// override (the paper's 121 ranks for SP/BT).
   rt::MachineConfig machine{};
   /// Interface-library options: dump directory, tracing, flight recorder.
   /// Dumps stay in memory unless `write_dumps` is set. The run overwrites

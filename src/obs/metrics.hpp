@@ -8,12 +8,12 @@
 // Registration (counter()/gauge()/histogram()) is serialized by an
 // internal mutex and renderers snapshot under the same lock
 // (families_lock()), so a daemon thread can register series while another
-// thread renders the exposition. *Updates* are lock-free atomics: under
-// the parallel epoch scheduler, rank segments on different nodes bump
-// shared series concurrently. Counter increments and histogram
-// observations are commutative (integer adds; histogram sums are integral
-// cycle counts well under 2^53, so double addition is exact), which keeps
-// rendered output byte-identical regardless of update interleaving.
+// thread renders the exposition. *Updates* are lock-free atomics: in
+// bgpcd, session threads bump series while the HTTP thread scrapes them.
+// Counter increments and histogram observations are commutative (integer
+// adds; histogram sums are integral cycle counts well under 2^53, so
+// double addition is exact), which keeps rendered output byte-identical
+// regardless of update interleaving.
 #pragma once
 
 #include <atomic>

@@ -3,9 +3,9 @@
 // plus instant events, each stamped with both the simulated-cycle clock
 // of the owning core and a host monotonic-nanosecond clock shared by the
 // whole FlightRecorder. One recorder per (node, core); a recorder is only
-// ever mutated from the fiber of the rank that owns that core, which runs
-// on one worker at a time and changes worker only through the scheduler
-// lock, so no synchronization is needed.
+// ever mutated from the fiber of the rank that owns that core, and a
+// Machine runs its rank fibers one at a time on one thread, so no
+// synchronization is needed.
 #pragma once
 
 #include <chrono>

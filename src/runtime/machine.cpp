@@ -8,7 +8,6 @@
 #include "common/strfmt.hpp"
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
-#include "runtime/epoch.hpp"
 #include "runtime/rankctx.hpp"
 
 namespace bgp::rt {
@@ -46,10 +45,8 @@ void Machine::check_fault(unsigned rank) {
 }
 
 void Machine::record_rank_death(unsigned rank, bool inherited) {
-  // Commit context (runs at the dying rank's slot), so the list pushes are
-  // race-free. Injected deaths
-  // and cascade victims are kept apart: only the former mark a node as
-  // genuinely killed.
+  // Injected deaths and cascade victims are kept apart: only the former
+  // mark a node as genuinely killed.
   Rank& self = *ranks_[rank];
   self.status = Status::kDied;
   (inherited ? stranded_ranks_ : dead_ranks_).push_back(rank);
@@ -70,19 +67,57 @@ void Machine::run(const RankFn& program) {
   for (unsigned r = 0; r < num_ranks_; ++r) {
     auto rank = std::make_unique<Rank>();
     rank->ctx = std::make_unique<RankCtx>(*this, r);
+    ready_.push({rank->ctx->core().now(), r});  // boot skew
     ranks_.push_back(std::move(rank));
   }
 
-  EpochScheduler epoch(*this, program);
-  epoch_ = &epoch;
-  try {
-    epoch.run();
-  } catch (...) {
-    epoch_ = nullptr;
-    throw;
+  // The greedy order: resume the smallest (cycle, rank) until it parks,
+  // then the next. A stop is noticed here, at every dispatch.
+  unsigned live = num_ranks_;
+  std::string deadlock;
+  while (live > 0) {
+    service_stop();
+    if (ready_.empty()) {
+      // Every remaining rank is blocked.
+      std::string diag;
+      if (resolve_stall(diag) == StallOutcome::kDeadlock) deadlock = diag;
+      if (ready_.empty()) {
+        throw std::logic_error("MiniMPI: stall resolution woke no rank");
+      }
+      continue;
+    }
+    const unsigned r = ready_.top().rank;
+    ready_.pop();
+    Rank& rank = *ranks_[r];
+    if (!rank.fiber) {
+      rank.fiber = std::make_unique<Fiber>(
+          [this, r, &program] { fiber_main(r, program); });
+    }
+    rank.fiber->resume();
+    if (rank.fiber->done()) {
+      rank.fiber.reset();
+      --live;
+    }
   }
-  epoch_ = nullptr;
+  // Deadlock diagnostics are thrown once every fiber has unwound.
+  if (!deadlock.empty()) throw std::runtime_error(deadlock);
   run_epilogue();
+}
+
+void Machine::fiber_main(unsigned rank, const RankFn& program) {
+  Rank& self = *ranks_[rank];
+  try {
+    if (aborting_) throw AbortRun{};
+    program(*self.ctx);
+    self.status = Status::kFinished;
+  } catch (const AbortRun&) {
+    self.status = Status::kFailed;
+  } catch (const NodeDeathFault& death) {
+    record_rank_death(rank, death.inherited);
+  } catch (...) {
+    self.status = Status::kFailed;
+    self.error = std::current_exception();
+  }
 }
 
 Machine::StallOutcome Machine::resolve_stall(std::string& diag) {
@@ -156,7 +191,7 @@ Machine::StallOutcome Machine::resolve_stall(std::string& diag) {
   }
   const StallOutcome out =
       any_failed ? StallOutcome::kAbortFailure : StallOutcome::kDeadlock;
-  aborting_.store(true, std::memory_order_relaxed);
+  aborting_ = true;
   for (unsigned r = 0; r < num_ranks_; ++r) {
     const Status st = ranks_[r]->status;
     if (st == Status::kBlockedRecv || st == Status::kBlockedCollective) {
@@ -167,9 +202,8 @@ Machine::StallOutcome Machine::resolve_stall(std::string& diag) {
 }
 
 bool Machine::service_stop() {
-  if (!stop_requested_.load(std::memory_order_relaxed)) return false;
-  if (aborting_.load(std::memory_order_relaxed)) return false;
-  aborting_.store(true, std::memory_order_relaxed);
+  if (!stop_requested() || aborting_) return false;
+  aborting_ = true;
   for (unsigned r = 0; r < num_ranks_; ++r) {
     const Status st = ranks_[r]->status;
     if (st == Status::kBlockedRecv || st == Status::kBlockedCollective) {
@@ -183,10 +217,10 @@ void Machine::run_epilogue() {
   for (auto& rank : ranks_) {
     if (rank->error) std::rethrow_exception(rank->error);
   }
-  if (aborting_.load(std::memory_order_relaxed)) {
+  if (aborting_) {
     // A requested stop reuses the abort unwinding machinery but is a
     // deliberate cancellation, not a failure.
-    if (stop_requested_.load(std::memory_order_relaxed)) throw RunStopped{};
+    if (stop_requested()) throw RunStopped{};
     throw std::runtime_error("run aborted");
   }
   if (!dead_ranks_.empty()) {
@@ -222,13 +256,14 @@ std::vector<unsigned> Machine::dead_nodes() const {
 }
 
 void Machine::make_ready(unsigned rank) {
-  ranks_[rank]->status = Status::kReady;
-  epoch_->on_ready(rank);
+  Rank& self = *ranks_[rank];
+  self.status = Status::kReady;
+  ready_.push({self.ctx->core().now(), rank});
 }
 
 void Machine::consume_wake_flags(unsigned rank) {
   Rank& self = *ranks_[rank];
-  if (aborting_.load(std::memory_order_relaxed)) throw AbortRun{};
+  if (aborting_) throw AbortRun{};
   if (self.peer_dead) {
     self.peer_dead = false;
     throw NodeDeathFault{self.ctx->node_id(), /*inherited=*/true};
@@ -245,17 +280,19 @@ void Machine::consume_wake_flags(unsigned rank) {
 }
 
 void Machine::yield_rank(unsigned rank) {
-  epoch_->yield_segment(rank);
+  const SchedKey key{ranks_[rank]->ctx->core().now(), rank};
+  // Still the minimum and no stop to notice: keep running without a
+  // fiber switch.
+  if (stop_requested() || (!ready_.empty() && ready_.top() < key)) {
+    ready_.push(key);
+    ranks_[rank]->fiber->park();
+  }
   consume_wake_flags(rank);
 }
 
 void Machine::block_rank(unsigned rank) {
-  epoch_->block_fiber(rank);
+  ranks_[rank]->fiber->park();
   consume_wake_flags(rank);
-}
-
-void Machine::run_at_slot(unsigned rank, const std::function<void()>& fn) {
-  epoch_->run_at_slot(rank, fn);
 }
 
 const opt::CompiledLoop& Machine::compile_cached(const isa::LoopDesc& desc) {
@@ -274,7 +311,6 @@ const opt::CompiledLoop& Machine::compile_cached(const isa::LoopDesc& desc) {
   append_pod(desc.reduction);
   append_pod(desc.has_calls);
   append_pod(desc.locality);
-  std::lock_guard<std::mutex> lock(loop_cache_mu_);
   auto it = loop_cache_.find(key);
   if (it == loop_cache_.end()) {
     auto entry = std::make_unique<CachedLoop>();
@@ -312,7 +348,7 @@ void Machine::check_revoked(unsigned rank) const {
 }
 
 void Machine::detect_failed_peer(unsigned rank, unsigned peer) {
-  if (!ft_params_.enabled) return;  // legacy path: the scheduler cascades
+  if (!ft_params_.enabled) return;  // legacy path: stall resolution cascades
   Rank& self = *ranks_[rank];
   self.ctx->core().advance(ft_params_.detect_latency);
   note_detection(rank, ranks_[peer]->ctx->node_id());
@@ -358,44 +394,40 @@ void Machine::note_detection(unsigned rank, unsigned node) {
 }
 
 void Machine::revoke_comm(unsigned rank, cycles_t cost) {
-  // The wake-ups mutate scheduler state, so the body runs as a commit (FT
-  // implies strict mode, so the slot is immediate).
-  run_at_slot(rank, [this, rank, cost] {
-    if (revoked_) return;  // an already-revoked communicator stays revoked
-    revoked_ = true;
-    recovery_log_.push_back(ft::RecoveryEvent{
-        .kind = ft::RecoveryKind::kRevoke,
-        .node = ranks_[rank]->ctx->node_id(),
-        .rank = rank,
-        .cycle = ranks_[rank]->ctx->core().now(),
-        .cost = cost,
-        .aux = 0,
-    });
-    partition_->barrier_net().record_barrier(0);
-    // The revoke notification rides the barrier/interrupt network: every
-    // plain-blocked survivor is interrupted and resumes into RevokedError.
-    // Ranks inside internal FT operations are exempt (recovery must be
-    // able to run to completion on a revoked communicator).
-    bool reset_collective = false;
-    for (unsigned r = 0; r < num_ranks_; ++r) {
-      Rank& rk = *ranks_[r];
-      if (rk.status == Status::kBlockedRecv) {
-        rk.revoked_wake = true;
-        make_ready(r);
-      } else if (rk.status == Status::kBlockedCollective &&
-                 !collective_.internal) {
-        rk.revoked_wake = true;
-        make_ready(r);
-        reset_collective = true;
-      }
-    }
-    if (reset_collective) {
-      collective_.arrived = 0;
-      collective_.kind = -1;
-      collective_.internal = false;
-      collective_.combine = nullptr;
-    }
+  if (revoked_) return;  // an already-revoked communicator stays revoked
+  revoked_ = true;
+  recovery_log_.push_back(ft::RecoveryEvent{
+      .kind = ft::RecoveryKind::kRevoke,
+      .node = ranks_[rank]->ctx->node_id(),
+      .rank = rank,
+      .cycle = ranks_[rank]->ctx->core().now(),
+      .cost = cost,
+      .aux = 0,
   });
+  partition_->barrier_net().record_barrier(0);
+  // The revoke notification rides the barrier/interrupt network: every
+  // plain-blocked survivor is interrupted and resumes into RevokedError.
+  // Ranks inside internal FT operations are exempt (recovery must be able
+  // to run to completion on a revoked communicator).
+  bool reset_collective = false;
+  for (unsigned r = 0; r < num_ranks_; ++r) {
+    Rank& rk = *ranks_[r];
+    if (rk.status == Status::kBlockedRecv) {
+      rk.revoked_wake = true;
+      make_ready(r);
+    } else if (rk.status == Status::kBlockedCollective &&
+               !collective_.internal) {
+      rk.revoked_wake = true;
+      make_ready(r);
+      reset_collective = true;
+    }
+  }
+  if (reset_collective) {
+    collective_.arrived = 0;
+    collective_.kind = -1;
+    collective_.internal = false;
+    collective_.combine = nullptr;
+  }
 }
 
 void Machine::apply_shrink(std::vector<unsigned> group, cycles_t when,
@@ -470,57 +502,49 @@ void Machine::enter_collective(
         rank));
   }
 
-  bool blocked = false;
-  run_at_slot(rank, [&] {
-    Collective& coll = collective_;
-    if (coll.arrived == 0) {
-      coll.kind = kind;
-      coll.bytes = bytes;
-      coll.root = root;
-      coll.max_arrival = 0;
-      coll.combine = combine;
-      coll.op_latency = op_latency;
-      coll.internal = internal;
-      for (auto& m : coll.members) m = Collective::Member{};
-      if (ft_params_.enabled) {
-        // Only members still alive at first arrival can complete the
-        // rendezvous inline; anyone who dies later simply never arrives
-        // and the scheduler's stall resolution completes over those
-        // present.
-        coll.expected = 0;
-        for (const unsigned r : comm_group_) {
-          const Status st = ranks_[r]->status;
-          if (st != Status::kDied && st != Status::kFailed) ++coll.expected;
-        }
-      } else {
-        coll.expected = num_ranks_;
+  Collective& coll = collective_;
+  if (coll.arrived == 0) {
+    coll.kind = kind;
+    coll.bytes = bytes;
+    coll.root = root;
+    coll.max_arrival = 0;
+    coll.combine = combine;
+    coll.op_latency = op_latency;
+    coll.internal = internal;
+    for (auto& m : coll.members) m = Collective::Member{};
+    if (ft_params_.enabled) {
+      // Only members still alive at first arrival can complete the
+      // rendezvous inline; anyone who dies later simply never arrives and
+      // stall resolution completes over those present.
+      coll.expected = 0;
+      for (const unsigned r : comm_group_) {
+        const Status st = ranks_[r]->status;
+        if (st != Status::kDied && st != Status::kFailed) ++coll.expected;
       }
-    } else if (coll.kind != kind || coll.root != root) {
-      throw std::logic_error(
-          strfmt("collective mismatch: rank %u entered kind %d but kind %d "
-                 "in flight",
-                 rank, kind, coll.kind));
-    }
-
-    auto& member = coll.members[rank];
-    member.send = send;
-    member.recv = recv;
-    member.present = true;
-    coll.max_arrival = std::max(coll.max_arrival, self.ctx->core().now());
-    ++coll.arrived;
-
-    if (coll.arrived < coll.expected) {
-      self.status = Status::kBlockedCollective;
-      blocked = true;
     } else {
-      // Last arrival: perform the data movement and release everyone.
-      finish_collective();
+      coll.expected = num_ranks_;
     }
-  });
-  if (blocked) {
+  } else if (coll.kind != kind || coll.root != root) {
+    throw std::logic_error(
+        strfmt("collective mismatch: rank %u entered kind %d but kind %d "
+               "in flight",
+               rank, kind, coll.kind));
+  }
+
+  auto& member = coll.members[rank];
+  member.send = send;
+  member.recv = recv;
+  member.present = true;
+  coll.max_arrival = std::max(coll.max_arrival, self.ctx->core().now());
+  ++coll.arrived;
+
+  if (coll.arrived < coll.expected) {
+    self.status = Status::kBlockedCollective;
     block_rank(rank);
     return;  // a later arrival completed the operation and synced our clock
   }
+  // Last arrival: perform the data movement and release everyone.
+  finish_collective();
   if (self.proc_failed) {
     self.proc_failed = false;
     raise_proc_failed(rank);

@@ -2,14 +2,12 @@
 // message-passing runtime ("MiniMPI") with the semantics the NAS kernels
 // need — blocking send/recv and the usual collectives.
 //
-// Ranks run in a greedy (cycle, rank) order: at every step the pending
-// rank whose key — its core clock when it became ready, then its rank
-// number — is smallest runs its segment, up to its next yield or block.
-// Each rank is a *fiber* on a bounded worker pool (runtime/pool.*,
-// runtime/epoch.*). Compute segments may run concurrently, but every
-// cross-rank interaction executes as a commit in exactly that order, so
-// simulated clocks, dumps and traces are byte-identical for any worker
-// count (MachineConfig::sched/jobs).
+// Ranks run in a greedy (cycle, rank) order: at every step the ready rank
+// whose key — its core clock when it became ready, then its rank number —
+// is smallest runs its segment, up to its next yield or block. Each rank
+// is a fiber (runtime/fiber.*) that run() resumes on the calling thread,
+// one at a time, so a run's simulated clocks, dumps and traces are the
+// same bytes every time. docs/scheduler.md describes the loop.
 #pragma once
 
 #include <atomic>
@@ -17,8 +15,8 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
+#include <queue>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -26,6 +24,7 @@
 
 #include "compiler/compiler.hpp"
 #include "ft/ftypes.hpp"
+#include "runtime/fiber.hpp"
 #include "runtime/sched.hpp"
 #include "sys/partition.hpp"
 
@@ -40,7 +39,6 @@ class FtComm;
 namespace bgp::rt {
 
 class RankCtx;
-class EpochScheduler;
 
 /// Collective op kinds for rendezvous matching. Kinds at or below
 /// kCollFtFirst are internal fault-tolerance operations (agreement,
@@ -79,13 +77,9 @@ struct MachineConfig {
   /// Use fewer ranks than the partition supports (e.g. the paper's 121-rank
   /// SP/BT runs on 32 nodes). 0 = all.
   unsigned num_ranks_override = 0;
-  /// Worker count: kSerial runs every rank on one worker, kParallel on
-  /// `jobs`. Both produce byte-identical runs.
+  /// Ignored: every run dispatches its ranks on the calling thread. Kept
+  /// so that code which still sets them compiles.
   SchedMode sched = SchedMode::kSerial;
-  /// Parallel mode: worker-pool size cap. 0 = min(hardware_concurrency,
-  /// nodes). The pool never exceeds the node count (the unit of
-  /// parallelism is a node: its ranks share caches, so they execute
-  /// exclusively).
   unsigned jobs = 0;
 };
 
@@ -108,8 +102,8 @@ class Machine {
   /// Lower `desc` under the machine's option set, memoized per Machine:
   /// every rank re-lowers identical loop nests every timestep, so cache
   /// the bundles keyed by the full LoopDesc contents (the OptConfig is
-  /// fixed for a Machine's lifetime and needs no key bits). Thread-safe;
-  /// the returned bundle lives as long as the Machine.
+  /// fixed for a Machine's lifetime and needs no key bits). The returned
+  /// bundle lives as long as the Machine.
   const opt::CompiledLoop& compile_cached(const isa::LoopDesc& desc);
 
   [[nodiscard]] const MachineConfig& config() const noexcept {
@@ -181,9 +175,9 @@ class Machine {
   /// Longest execution time across the whole partition.
   [[nodiscard]] cycles_t elapsed() const;
 
-  /// Ask a running program to stop at the next scheduling point. Safe from
-  /// any thread and from signal handlers (a single lock-free atomic store):
-  /// the dispatcher notices, unwinds every rank, and run() throws
+  /// Ask a running program to stop at the next dispatch. Safe from any
+  /// thread and from signal handlers (a single lock-free atomic store):
+  /// the dispatch loop notices, unwinds every rank, and run() throws
   /// RunStopped — after which traces can be sealed and checkpoint dumps
   /// written through the usual atomic paths. A no-op once the run is over;
   /// requesting a stop before run() stops it at the first dispatch.
@@ -197,7 +191,6 @@ class Machine {
  private:
   friend class RankCtx;
   friend class ft::FtComm;
-  friend class EpochScheduler;
 
   enum class Status : u8 {
     kReady,
@@ -215,19 +208,18 @@ class Machine {
     cycles_t ready_time = 0;
   };
 
-  /// Per-rank bookkeeping (scheduling state, mailbox).
+  /// Per-rank bookkeeping (fiber, status, mailbox).
   struct Rank {
     std::unique_ptr<RankCtx> ctx;
-    /// Atomic because commits write statuses under the scheduler lock
-    /// while rank fibers on other workers read them lock-free (e.g.
-    /// rank_died() on the send path).
-    std::atomic<Status> status{Status::kReady};
+    /// Created at the rank's first dispatch, released when it finishes.
+    std::unique_ptr<Fiber> fiber;
+    Status status = Status::kReady;
     // recv match spec while blocked
     unsigned recv_src = 0;
     int recv_tag = 0;
     std::deque<Message> mailbox;
     std::exception_ptr error;
-    /// Set by the scheduler when the rank is blocked on a dead peer; the
+    /// Set by stall resolution when the rank is blocked on a dead peer; the
     /// next resume throws NodeDeathFault so the rank unwinds too (non-FT).
     bool peer_dead = false;
     /// FT mode: the rank's pending call involved a failed peer; the next
@@ -246,7 +238,7 @@ class Machine {
     unsigned arrived = 0;
     /// Arrivals that complete the operation inline (FT: live group members
     /// at first arrival; otherwise all ranks — dead members complete via
-    /// the scheduler's stall resolution instead).
+    /// stall resolution instead).
     unsigned expected = 0;
     /// Internal FT operation (agree/shrink): exempt from revocation and
     /// from failed-peer flagging, so recovery itself can communicate.
@@ -258,14 +250,14 @@ class Machine {
       bool present = false;
     };
     std::vector<Member> members;
-    /// Stored from the first arrival so the scheduler can complete the
+    /// Stored from the first arrival so stall resolution can complete the
     /// operation over the surviving members when dead ranks never show up.
     std::function<void(Collective&)> combine;
     cycles_t op_latency = 0;
   };
 
-  /// Shared stall handling: what the dispatcher found when no rank was
-  /// runnable, after resolution had a chance to make progress.
+  /// Stall handling: what the dispatch loop found when no rank was ready,
+  /// after resolution had a chance to make progress.
   enum class StallOutcome : u8 {
     kProgress,      ///< woke someone / completed a collective — keep going
     kAllDone,       ///< every rank is terminal
@@ -274,42 +266,34 @@ class Machine {
     kAbortFailure,  ///< a rank failed; blocked ranks woken to unwind
   };
 
-  // -- scheduler internals (called from rank fibers via RankCtx) ----------
-  /// End-of-segment yield: re-key this rank at its current clock and let
-  /// the dispatcher run whoever is next.
+  // -- dispatch (called from rank fibers via RankCtx) ---------------------
+  /// The body of `rank`'s fiber: runs `program` and records how it ended.
+  void fiber_main(unsigned rank, const RankFn& program);
+  /// End-of-segment yield: re-key this rank at its current clock. It keeps
+  /// running while it is still the minimum; otherwise it parks and the
+  /// dispatch loop runs whoever is next.
   void yield_rank(unsigned rank);
-  /// Park after a commit left this rank in a blocked status; returns when
-  /// a later commit makes it ready again.
+  /// Park a rank whose status was just set to blocked; returns when a
+  /// wake makes it ready and the dispatch loop resumes it.
   void block_rank(unsigned rank);
-  /// Execute `fn` at this rank's deterministic commit slot: the fiber
-  /// parks until every earlier (cycle, rank) slot has committed.
-  /// Exceptions from `fn` resurface on the calling rank.
-  void run_at_slot(unsigned rank, const std::function<void()>& fn);
-  /// Abort/death/revocation flags left on this rank by the scheduler while
-  /// it was parked; throws the corresponding error.
+  /// Abort/death/revocation flags left on this rank while it was parked;
+  /// throws the corresponding error.
   void consume_wake_flags(unsigned rank);
-  /// Transition `rank` to kReady and queue it with the scheduler.
+  /// Transition blocked `rank` to kReady and queue it at its current clock.
   void make_ready(unsigned rank);
   /// Record a rank lost to a node death (status, death lists, obs instant).
   void record_rank_death(unsigned rank, bool inherited);
-  /// True when global state may be read mid-segment (fault injection or FT
-  /// recovery): the scheduler then runs at most one rank at a time, in
-  /// exactly (cycle, rank) order.
-  [[nodiscard]] bool strict_sched() const noexcept {
-    return fault_ != nullptr || ft_params_.enabled;
-  }
-  /// No rank is runnable: resolve dead-peer waits / survivor collectives,
-  /// or declare the run over/deadlocked. Wakes ranks via make_ready.
+  /// No rank is ready: resolve dead-peer waits / survivor collectives, or
+  /// declare the run over/deadlocked. Wakes ranks via make_ready.
   StallOutcome resolve_stall(std::string& diag);
   /// Honor a pending request_stop(): flip the machine into the abort path
   /// and wake blocked ranks so they unwind. Returns true when a stop was
-  /// serviced. Call only under the scheduler's lock (make_ready has the
-  /// same requirement).
+  /// serviced.
   bool service_stop();
 
-  /// Deposit a message; wakes a matching blocked receiver. Commit context.
+  /// Deposit a message; wakes a matching blocked receiver.
   void deposit(Message msg, unsigned dst);
-  /// Try to pop a matching message from `rank`'s mailbox. Commit context.
+  /// Try to pop a matching message from `rank`'s mailbox.
   std::optional<Message> try_match(unsigned rank, unsigned src, int tag);
   /// Enter a collective; blocks until all ranks arrived, then the last
   /// arrival runs `combine` over the member buffers and releases all.
@@ -361,8 +345,10 @@ class Machine {
   MpiHooks hooks_;
   unsigned num_ranks_;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  /// The scheduler, non-null only inside run().
-  EpochScheduler* epoch_ = nullptr;
+  /// Ready ranks that are not running, smallest (cycle, rank) on top. A
+  /// rank is queued at most once: only blocked ranks are woken.
+  std::priority_queue<SchedKey, std::vector<SchedKey>, std::greater<>>
+      ready_;
   Collective collective_;
   fault::FaultInjector* fault_ = nullptr;
   std::vector<unsigned> dead_ranks_;
@@ -374,7 +360,8 @@ class Machine {
   unsigned comm_epoch_ = 0;
   std::vector<ft::RecoveryEvent> recovery_log_;
   std::vector<bool> death_detected_;  ///< per node, first-detection dedup
-  std::atomic<bool> aborting_{false};
+  bool aborting_ = false;
+  /// Set from signal handlers and other threads; read at every dispatch.
   std::atomic<bool> stop_requested_{false};
   bool ran_ = false;
   /// compile_cached state: the cached bundle owns a copy of the loop name
@@ -384,7 +371,6 @@ class Machine {
     opt::CompiledLoop cl;
   };
   std::unordered_map<std::string, std::unique_ptr<CachedLoop>> loop_cache_;
-  std::mutex loop_cache_mu_;
 };
 
 /// Thrown inside rank fibers to unwind them when another rank failed.

@@ -61,20 +61,13 @@ void RankCtx::wait_until(cycles_t t) {
 // ---- lifecycle -------------------------------------------------------------
 
 void RankCtx::mpi_init() {
-  if (machine_.mpi_hooks().on_init) {
-    // Hooks come from the tools and may touch shared state (counter
-    // registries, output files); run them at this rank's commit slot.
-    machine_.run_at_slot(rank_, [this] { machine_.mpi_hooks().on_init(*this); });
-  }
+  if (machine_.mpi_hooks().on_init) machine_.mpi_hooks().on_init(*this);
   barrier();
 }
 
 void RankCtx::mpi_finalize() {
   barrier();
-  if (machine_.mpi_hooks().on_finalize) {
-    machine_.run_at_slot(rank_,
-                         [this] { machine_.mpi_hooks().on_finalize(*this); });
-  }
+  if (machine_.mpi_hooks().on_finalize) machine_.mpi_hooks().on_finalize(*this);
 }
 
 // ---- computation ------------------------------------------------------------
@@ -233,10 +226,8 @@ void RankCtx::send(unsigned dst, std::span<const std::byte> data, int tag) {
   if (machine_.rank_died(dst)) {
     // FT: a send to a failed peer is detected at the sender (it raises
     // ProcFailedError there); without FT the message is deposited into the
-    // dead rank's mailbox and simply never consumed, as before. Detection
-    // appends to the shared recovery log, so it commits.
-    machine_.run_at_slot(rank_,
-                         [this, dst] { machine_.detect_failed_peer(rank_, dst); });
+    // dead rank's mailbox and simply never consumed, as before.
+    machine_.detect_failed_peer(rank_, dst);
   }
   sys_event(isa::SysEvent::kMpiSends);
   const auto peer = machine_.partition().placement(dst);
@@ -250,15 +241,11 @@ void RankCtx::send(unsigned dst, std::span<const std::byte> data, int tag) {
   msg.payload.assign(data.begin(), data.end());
   msg.ready_time = core().now() + transfer_cycles(peer.node, data.size());
 
-  // Link accounting and the deposit (which may wake the receiver) touch
-  // cross-rank state: one commit, in the greedy (cycle, rank) order.
-  machine_.run_at_slot(rank_, [&] {
-    if (peer.node != placement_.node) {
-      machine_.partition().torus().record_transfer(placement_.node, peer.node,
-                                                   data.size());
-    }
-    machine_.deposit(std::move(msg), dst);
-  });
+  if (peer.node != placement_.node) {
+    machine_.partition().torus().record_transfer(placement_.node, peer.node,
+                                                 data.size());
+  }
+  machine_.deposit(std::move(msg), dst);  // may wake the receiver
   yield();
 }
 
@@ -268,28 +255,7 @@ void RankCtx::recv(unsigned src, std::span<std::byte> out, int tag) {
   sys_event(isa::SysEvent::kMpiRecvs);
   core().advance(machine_.partition().torus().params().sw_overhead);
   for (;;) {
-    // Match-or-block is one commit: if a concurrent sender's deposit could
-    // slip between a failed match and the transition to kBlockedRecv, the
-    // wake would be missed. The tracing pulse is billed inside the commit
-    // too so the frozen blocked clock includes it.
-    std::optional<Machine::Message> msg;
-    bool blocked = false;
-    machine_.run_at_slot(rank_, [&] {
-      msg = machine_.try_match(rank_, src, tag);
-      if (msg.has_value()) return;
-      // FT: a recv that can never match because the source already failed
-      // is detected here (ULFM semantics: messages sent before the death
-      // are still delivered above; only then does the failure surface).
-      if (src != kAnySource && machine_.rank_died(src)) {
-        machine_.detect_failed_peer(rank_, src);
-      }
-      auto& self = *machine_.ranks_[rank_];
-      self.status = Machine::Status::kBlockedRecv;
-      self.recv_src = src;
-      self.recv_tag = tag;
-      blocked = true;
-      pulse_node();
-    });
+    std::optional<Machine::Message> msg = machine_.try_match(rank_, src, tag);
     if (msg.has_value()) {
       if (msg->payload.size() != out.size()) {
         throw std::runtime_error(
@@ -301,7 +267,20 @@ void RankCtx::recv(unsigned src, std::span<std::byte> out, int tag) {
       yield();
       return;
     }
-    if (blocked) machine_.block_rank(rank_);
+    // FT: a recv that can never match because the source already failed is
+    // detected here (ULFM semantics: messages sent before the death are
+    // still delivered above; only then does the failure surface).
+    if (src != kAnySource && machine_.rank_died(src)) {
+      machine_.detect_failed_peer(rank_, src);
+    }
+    auto& self = *machine_.ranks_[rank_];
+    self.status = Machine::Status::kBlockedRecv;
+    self.recv_src = src;
+    self.recv_tag = tag;
+    // The tracing pulse is billed before blocking, so the clock the rank
+    // blocks at includes it.
+    pulse_node();
+    machine_.block_rank(rank_);
   }
 }
 

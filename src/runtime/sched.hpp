@@ -1,29 +1,20 @@
-// Scheduling primitives for Machine's epoch scheduler.
-//
-// Ranks are ordered by one key: (simulated cycle at segment start, rank),
-// lowest first with the lower rank winning ties. ReadyQueue packages that
-// order as a lazy-deletion binary min-heap: pushes are O(log n), stale
-// entries (a rank that was re-keyed or is no longer ready) are skipped at
-// peek time by checking a per-rank sequence number stamped into each
-// entry.
+// The dispatch order of Machine::run: ranks run in ascending (cycle, rank)
+// order, lowest cycle first with the lower rank winning ties.
 #pragma once
-
-#include <cstddef>
-#include <queue>
-#include <vector>
 
 #include "common/types.hpp"
 
 namespace bgp::rt {
 
-/// Worker count of the epoch scheduler (MachineConfig::sched). Both modes
-/// commit in the same (cycle, rank) order and give byte-identical runs.
+/// Accepted for source compatibility and ignored: every run dispatches its
+/// ranks on the calling thread (MachineConfig::sched).
 enum class SchedMode : u8 {
-  kSerial,    ///< one worker: one rank segment at a time
-  kParallel,  ///< MachineConfig::jobs workers, one node per worker at once
+  kSerial,
+  kParallel,
 };
 
-/// The dispatch key: ranks run in ascending (cycle, rank) order.
+/// The dispatch key: a rank's core clock when it became ready, then its
+/// rank number.
 struct SchedKey {
   cycles_t cycle = 0;
   unsigned rank = 0;
@@ -31,53 +22,9 @@ struct SchedKey {
   friend bool operator<(const SchedKey& a, const SchedKey& b) noexcept {
     return a.cycle != b.cycle ? a.cycle < b.cycle : a.rank < b.rank;
   }
-};
-
-/// Lazy-deletion min-heap over (cycle, rank). The caller owns a per-rank
-/// sequence counter: push() stamps the current sequence into the entry and
-/// peek_min() hands back candidates for validation — an entry whose stamp
-/// no longer matches the rank's sequence is dead and silently dropped.
-class ReadyQueue {
- public:
-  explicit ReadyQueue(std::size_t num_ranks) : seq_(num_ranks, 0) {}
-
-  /// Invalidate every queued entry for `rank` and stamp the next push.
-  void invalidate(unsigned rank) noexcept { ++seq_[rank]; }
-
-  /// Queue `rank` at `cycle` under its current sequence.
-  void push(cycles_t cycle, unsigned rank) {
-    heap_.push(Entry{SchedKey{cycle, rank}, seq_[rank]});
+  friend bool operator>(const SchedKey& a, const SchedKey& b) noexcept {
+    return b < a;
   }
-
-  /// Find the minimal live entry and leave it queued (stale entries above
-  /// it are discarded); returns false when no live entry is left. `live`
-  /// is the caller's validity check (e.g. "still pending") applied on top
-  /// of the sequence stamp.
-  template <typename LiveFn>
-  bool peek_min(unsigned& rank_out, LiveFn&& live) {
-    while (!heap_.empty()) {
-      const Entry top = heap_.top();
-      if (top.seq != seq_[top.key.rank] || !live(top.key.rank)) {
-        heap_.pop();  // re-keyed, re-queued, or no longer ready: stale
-        continue;
-      }
-      rank_out = top.key.rank;
-      return true;
-    }
-    return false;
-  }
-
- private:
-  struct Entry {
-    SchedKey key;
-    u64 seq;
-    friend bool operator>(const Entry& a, const Entry& b) noexcept {
-      return b.key < a.key;
-    }
-  };
-
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::vector<u64> seq_;
 };
 
 }  // namespace bgp::rt

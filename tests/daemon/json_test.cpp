@@ -83,8 +83,6 @@ TEST(JobSpec, RoundTripsThroughJson) {
   spec.nodes = 8;
   spec.mode = sys::OpMode::kDual;
   spec.ranks = 12;
-  spec.sched = rt::SchedMode::kParallel;
-  spec.jobs = 4;
   spec.deaths = 2;
   spec.fault_seed = 99;
   spec.ftp.enabled = true;
@@ -100,8 +98,6 @@ TEST(JobSpec, RoundTripsThroughJson) {
   EXPECT_EQ(back.nodes, spec.nodes);
   EXPECT_EQ(back.mode, spec.mode);
   EXPECT_EQ(back.ranks, spec.ranks);
-  EXPECT_EQ(back.sched, spec.sched);
-  EXPECT_EQ(back.jobs, spec.jobs);
   EXPECT_EQ(back.deaths, spec.deaths);
   EXPECT_EQ(back.fault_seed, spec.fault_seed);
   EXPECT_EQ(back.ftp.enabled, spec.ftp.enabled);
@@ -127,6 +123,30 @@ TEST(JobSpec, RejectsUnknownKeysAndBadValues) {
   // Ranks beyond the partition's capacity (4 nodes VNM = 16).
   EXPECT_THROW((void)parse(R"({"nodes":4,"ranks":17})"), json::JsonError);
   EXPECT_THROW((void)parse(R"(["not","an","object"])"), json::JsonError);
+}
+
+// Journals written before the dispatcher became one loop carry "sched"
+// (and sometimes "jobs"): both keys are still validated, then ignored.
+TEST(JobSpec, RetiredSchedulerKeysParseToTheSameRun) {
+  const auto parse = [](const char* text) {
+    return JobSpec::from_json(json::Value::parse(text));
+  };
+  const JobSpec with = parse(
+      R"({"bench":"MG","nodes":8,"sched":"parallel","jobs":4,"deaths":2})");
+  const JobSpec without = parse(R"({"bench":"MG","nodes":8,"deaths":2})");
+  EXPECT_EQ(with.to_json().dump(), without.to_json().dump());
+
+  const nas::RunConfig a = with.run_config("dir");
+  const nas::RunConfig b = without.run_config("dir");
+  EXPECT_EQ(a.bench, b.bench);
+  EXPECT_EQ(a.machine.num_nodes, b.machine.num_nodes);
+  EXPECT_EQ(a.machine.sched, b.machine.sched);
+  EXPECT_EQ(a.machine.jobs, b.machine.jobs);
+  EXPECT_EQ(a.fault.events().size(), b.fault.events().size());
+
+  EXPECT_NO_THROW((void)parse(R"({"sched":"serial"})"));
+  EXPECT_THROW((void)parse(R"({"jobs":-1})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"jobs":"4"})"), json::JsonError);
 }
 
 TEST(JobSpec, EffectiveRanksFollowsModeAndOverride) {

@@ -6,13 +6,12 @@
 //     counts all three (L2/L3 reads, L3 writes), misses <= accesses where
 //     there is no hit counter (L1D, L2 writes).
 //
-//  2. Golden digests: per node, per set, in all four counter modes, on one
-//     scheduler worker (kSerial) and on two (kParallel), the CRC32 of the
-//     256 counter deltas and the set's first-start/last-stop cycle stamps
-//     must equal a committed table. The table was recorded when the
-//     per-instruction event emission and the virtual cache walk still
-//     existed and matched the fast paths exactly, so it pins the counters
-//     those paths produced.
+//  2. Golden digests: per node, per set, in all four counter modes, the
+//     CRC32 of the 256 counter deltas and the set's first-start/last-stop
+//     cycle stamps must equal a committed table. The table was recorded
+//     when the per-instruction event emission and the virtual cache walk
+//     still existed and matched the fast paths exactly, so it pins the
+//     counters those paths produced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,17 +29,11 @@
 namespace bgp {
 namespace {
 
-struct PathConfig {
-  u8 mode = 0;  ///< counter mode programmed on every node card
-  rt::SchedMode sched = rt::SchedMode::kSerial;
-};
-
-std::vector<pc::NodeDump> run_cg(const PathConfig& cfg) {
+/// CG class S on 4 VNM nodes with counter `mode` programmed on every card.
+std::vector<pc::NodeDump> run_cg(u8 mode) {
   rt::MachineConfig mc;
   mc.num_nodes = 4;
   mc.mode = sys::OpMode::kVnm;
-  mc.sched = cfg.sched;
-  mc.jobs = cfg.sched == rt::SchedMode::kParallel ? 2 : 0;
   rt::Machine machine(mc);
 
   pc::Options opts;
@@ -48,8 +41,8 @@ std::vector<pc::NodeDump> run_cg(const PathConfig& cfg) {
   opts.write_dumps = false;
   // Same mode on even and odd cards so every node counts the mode under
   // test (the split-mode scheme is covered by the characterization tests).
-  opts.mode_even_cards = cfg.mode;
-  opts.mode_odd_cards = cfg.mode;
+  opts.mode_even_cards = mode;
+  opts.mode_odd_cards = mode;
   pc::Session session(machine, opts);
   session.link_with_mpi();
 
@@ -70,57 +63,44 @@ u64 delta(const pc::NodeDump& d, isa::EventId id) {
   return d.sets.at(0).deltas.at(isa::event_counter(id));
 }
 
-const char* sched_name(rt::SchedMode s) {
-  return s == rt::SchedMode::kSerial ? "serial" : "parallel";
-}
-
-constexpr rt::SchedMode kScheds[] = {rt::SchedMode::kSerial,
-                                     rt::SchedMode::kParallel};
-
 TEST(CounterIdentity, Mode0PerCoreCacheIdentities) {
-  for (const rt::SchedMode sched : kScheds) {
-    const auto dumps = run_cg({0, sched});
-    ASSERT_FALSE(dumps.empty());
-    bool any_l1 = false;
-    for (const auto& d : dumps) {
-      for (unsigned c = 0; c < isa::kCoresPerNode; ++c) {
-        const u64 l1_ra = delta(d, isa::ev::l1d(c, isa::L1dEvent::kReadAccess));
-        const u64 l1_rm = delta(d, isa::ev::l1d(c, isa::L1dEvent::kReadMiss));
-        const u64 l1_wa =
-            delta(d, isa::ev::l1d(c, isa::L1dEvent::kWriteAccess));
-        const u64 l1_wm = delta(d, isa::ev::l1d(c, isa::L1dEvent::kWriteMiss));
-        EXPECT_LE(l1_rm, l1_ra) << sched_name(sched);
-        EXPECT_LE(l1_wm, l1_wa) << sched_name(sched);
-        any_l1 = any_l1 || l1_ra > 0;
+  const auto dumps = run_cg(0);
+  ASSERT_FALSE(dumps.empty());
+  bool any_l1 = false;
+  for (const auto& d : dumps) {
+    for (unsigned c = 0; c < isa::kCoresPerNode; ++c) {
+      const u64 l1_ra = delta(d, isa::ev::l1d(c, isa::L1dEvent::kReadAccess));
+      const u64 l1_rm = delta(d, isa::ev::l1d(c, isa::L1dEvent::kReadMiss));
+      const u64 l1_wa = delta(d, isa::ev::l1d(c, isa::L1dEvent::kWriteAccess));
+      const u64 l1_wm = delta(d, isa::ev::l1d(c, isa::L1dEvent::kWriteMiss));
+      EXPECT_LE(l1_rm, l1_ra);
+      EXPECT_LE(l1_wm, l1_wa);
+      any_l1 = any_l1 || l1_ra > 0;
 
-        const u64 l2_ra = delta(d, isa::ev::l2(c, isa::L2Event::kReadAccess));
-        const u64 l2_rh = delta(d, isa::ev::l2(c, isa::L2Event::kReadHit));
-        const u64 l2_rm = delta(d, isa::ev::l2(c, isa::L2Event::kReadMiss));
-        const u64 l2_wa = delta(d, isa::ev::l2(c, isa::L2Event::kWriteAccess));
-        const u64 l2_wm = delta(d, isa::ev::l2(c, isa::L2Event::kWriteMiss));
-        EXPECT_EQ(l2_ra, l2_rh + l2_rm)
-            << sched_name(sched) << " node " << d.node_id << " core " << c;
-        EXPECT_LE(l2_wm, l2_wa) << sched_name(sched);
-      }
+      const u64 l2_ra = delta(d, isa::ev::l2(c, isa::L2Event::kReadAccess));
+      const u64 l2_rh = delta(d, isa::ev::l2(c, isa::L2Event::kReadHit));
+      const u64 l2_rm = delta(d, isa::ev::l2(c, isa::L2Event::kReadMiss));
+      const u64 l2_wa = delta(d, isa::ev::l2(c, isa::L2Event::kWriteAccess));
+      const u64 l2_wm = delta(d, isa::ev::l2(c, isa::L2Event::kWriteMiss));
+      EXPECT_EQ(l2_ra, l2_rh + l2_rm) << "node " << d.node_id << " core " << c;
+      EXPECT_LE(l2_wm, l2_wa);
     }
-    EXPECT_TRUE(any_l1) << "CG never touched the L1D?";
   }
+  EXPECT_TRUE(any_l1) << "CG never touched the L1D?";
 }
 
 TEST(CounterIdentity, Mode1SharedLevelIdentities) {
-  for (const rt::SchedMode sched : kScheds) {
-    const auto dumps = run_cg({1, sched});
-    ASSERT_FALSE(dumps.empty());
-    for (const auto& d : dumps) {
-      const u64 ra = delta(d, isa::ev::l3(isa::L3Event::kReadAccess));
-      const u64 rh = delta(d, isa::ev::l3(isa::L3Event::kReadHit));
-      const u64 rm = delta(d, isa::ev::l3(isa::L3Event::kReadMiss));
-      const u64 wa = delta(d, isa::ev::l3(isa::L3Event::kWriteAccess));
-      const u64 wh = delta(d, isa::ev::l3(isa::L3Event::kWriteHit));
-      const u64 wm = delta(d, isa::ev::l3(isa::L3Event::kWriteMiss));
-      EXPECT_EQ(ra, rh + rm) << sched_name(sched) << " node " << d.node_id;
-      EXPECT_EQ(wa, wh + wm) << sched_name(sched) << " node " << d.node_id;
-    }
+  const auto dumps = run_cg(1);
+  ASSERT_FALSE(dumps.empty());
+  for (const auto& d : dumps) {
+    const u64 ra = delta(d, isa::ev::l3(isa::L3Event::kReadAccess));
+    const u64 rh = delta(d, isa::ev::l3(isa::L3Event::kReadHit));
+    const u64 rm = delta(d, isa::ev::l3(isa::L3Event::kReadMiss));
+    const u64 wa = delta(d, isa::ev::l3(isa::L3Event::kWriteAccess));
+    const u64 wh = delta(d, isa::ev::l3(isa::L3Event::kWriteHit));
+    const u64 wm = delta(d, isa::ev::l3(isa::L3Event::kWriteMiss));
+    EXPECT_EQ(ra, rh + rm) << "node " << d.node_id;
+    EXPECT_EQ(wa, wh + wm) << "node " << d.node_id;
   }
 }
 
@@ -161,26 +141,22 @@ u32 set_crc(const pc::SetDump& s) {
   return crc32(std::as_bytes(std::span(&s.last_stop_cycle, 1)), crc);
 }
 
-TEST(CounterIdentity, GoldenSetDigestsAllModesBothSchedulers) {
-  for (const rt::SchedMode sched : kScheds) {
-    std::vector<SetDigest> got;
-    for (u8 mode = 0; mode < isa::kNumCounterModes; ++mode) {
-      for (const pc::NodeDump& d : run_cg({mode, sched})) {
-        for (const pc::SetDump& s : d.sets) {
-          got.push_back({mode, d.node_id, s.set_id, set_crc(s)});
-        }
+TEST(CounterIdentity, GoldenSetDigestsAllModes) {
+  std::vector<SetDigest> got;
+  for (u8 mode = 0; mode < isa::kNumCounterModes; ++mode) {
+    for (const pc::NodeDump& d : run_cg(mode)) {
+      for (const pc::SetDump& s : d.sets) {
+        got.push_back({mode, d.node_id, s.set_id, set_crc(s)});
       }
     }
-    if (!std::ranges::equal(got, kGoldenSets)) {
-      std::string table;
-      for (const SetDigest& g : got) {
-        table += strfmt("    {%u, %u, %u, 0x%08xu},\n", unsigned(g.mode),
-                        g.node, g.set, g.crc);
-      }
-      ADD_FAILURE() << sched_name(sched)
-                    << " counters differ from kGoldenSets; this run:\n"
-                    << table;
+  }
+  if (!std::ranges::equal(got, kGoldenSets)) {
+    std::string table;
+    for (const SetDigest& g : got) {
+      table += strfmt("    {%u, %u, %u, 0x%08xu},\n", unsigned(g.mode), g.node,
+                      g.set, g.crc);
     }
+    ADD_FAILURE() << "counters differ from kGoldenSets; this run:\n" << table;
   }
 }
 

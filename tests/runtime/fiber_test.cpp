@@ -10,7 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "runtime/pool.hpp"
+#include "runtime/fiber.hpp"
 
 namespace bgp {
 namespace {

@@ -330,33 +330,9 @@ class FlagSet {
   std::vector<Flag> flags_;
 };
 
-/// Declare --sched/--jobs once. Ranks run as fibers in greedy (cycle,
-/// rank) order either way, so both modes produce byte-identical results;
-/// parallel lets rank segments of different nodes run concurrently.
-inline void add_sched_flags(FlagSet& fs, rt::MachineConfig& mc) {
-  fs.value("sched", "MODE",
-           "scheduler workers: 'serial' (one worker runs every rank fiber) "
-           "or 'parallel' (--jobs workers run different nodes' rank fibers "
-           "concurrently); byte-identical results",
-           [&mc](const char* v) {
-             if (std::strcmp(v, "serial") == 0) {
-               mc.sched = rt::SchedMode::kSerial;
-             } else if (std::strcmp(v, "parallel") == 0) {
-               mc.sched = rt::SchedMode::kParallel;
-             } else {
-               throw std::invalid_argument(
-                   strfmt("--sched must be serial or parallel, got '%s'", v));
-             }
-           });
-  fs.unsigned_value("jobs", "N",
-                    "parallel scheduler worker threads (0 = hardware "
-                    "concurrency; never more than the node count)",
-                    &mc.jobs);
-}
-
 /// Declare the flags every run-a-benchmark tool shares (bgpc_run,
 /// bgpc_trace): partition, class, dump/trace directory, trace sampling,
-/// fault seed and scheduler. The defaults shown in --help are the values
+/// and fault seed. The defaults shown in --help are the values
 /// the caller pre-filled into `cfg`. --dumps sets the dump and the trace
 /// directory. --fault-seed lands in `fault_seed`: the tool draws
 /// `cfg.fault` from it after parsing, once --nodes is known.
@@ -410,7 +386,6 @@ inline void add_run_flags(FlagSet& fs, nas::RunConfig& cfg, u64& fault_seed) {
   fs.u64_value("fault-seed", "S",
                "seed for the deterministic fault plan (default 1)",
                &fault_seed);
-  add_sched_flags(fs, mc);
 }
 
 /// --list of the run-a-benchmark tools: benchmarks, modes, classes and
