@@ -8,9 +8,7 @@
 // BENCH_scaling.json lands in the working directory.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <thread>
 
@@ -22,22 +20,19 @@ using namespace bgp;
 int main(int argc, char** argv) {
   nas::RunConfig cfg;
   cfg.bench = nas::Benchmark::kCG;
-  cfg.cls = nas::ProblemClass::kA;
-  cfg.machine.num_nodes = 64;
+  bench::Scale scale{64, nas::ProblemClass::kA};
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-      cfg.machine.num_nodes = static_cast<unsigned>(std::atoi(argv[i] + 8));
-    } else if (std::strncmp(argv[i], "--class=", 8) == 0) {
-      cfg.cls = nas::parse_class(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--bench=", 8) == 0) {
+    if (std::strncmp(argv[i], "--bench=", 8) == 0) {
       cfg.bench = nas::parse_benchmark(argv[i] + 8);
-    } else {
+    } else if (!bench::parse_scale_flag(argv[i], scale)) {
       std::fprintf(stderr,
                    "usage: %s [--bench=B] [--nodes=N] [--class=S|W|A]\n",
                    argv[0]);
       return 2;
     }
   }
+  cfg.cls = scale.cls;
+  cfg.machine.num_nodes = scale.nodes;
 
   const unsigned nodes = cfg.machine.num_nodes;
   const unsigned ranks = nodes * sys::processes_per_node(cfg.machine.mode);
@@ -77,18 +72,8 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(out.elapsed));
   json += strfmt("  \"verified\": %s\n}\n", verified ? "true" : "false");
 
-  std::filesystem::path path = "BENCH_scaling.json";
-  if (const char* dir = std::getenv("BGPC_BENCH_ARTIFACT_DIR")) {
-    std::filesystem::create_directories(dir);
-    path = std::filesystem::path(dir) / "BENCH_scaling.json";
-  }
-  std::FILE* f = std::fopen(path.string().c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.string().c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
+  const auto path = bench::write_bench_file("BENCH_scaling.json", json);
+  if (path.empty()) return 1;
   std::printf("wrote %s\n", path.string().c_str());
   return verified ? 0 : 1;
 }

@@ -16,11 +16,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "bench/util.hpp"
 #include "common/strfmt.hpp"
 #include "daemon/journal.hpp"
 #include "obs/host_clock.hpp"
@@ -206,18 +206,8 @@ void write_artifact(const AppendQuantiles& q) {
   json += strfmt("  \"replay_records_per_sec\": %.0f\n}\n",
                  q.replay_records_per_sec);
 
-  fs::path out = "BENCH_daemon_host.json";
-  if (const char* dir = std::getenv("BGPC_BENCH_ARTIFACT_DIR")) {
-    fs::create_directories(dir);
-    out = fs::path(dir) / "BENCH_daemon_host.json";
-  }
-  std::FILE* f = std::fopen(out.string().c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out.string().c_str());
-    return;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
+  const auto out = bench::write_bench_file("BENCH_daemon_host.json", json);
+  if (out.empty()) return;
   std::printf("wrote %s\n", out.string().c_str());
 }
 

@@ -1,7 +1,7 @@
-// §IV sanity check: the interface overhead. The paper measures 196 machine
-// cycles for initializing the UPC unit plus one start()/stop() pair,
-// checked against the Time Base register, and argues per-pair costs are far
-// lower since initialization happens once.
+// §IV sanity check (`repro --only=tab_overhead`): the interface overhead.
+// The paper measures 196 machine cycles for initializing the UPC unit plus
+// one start()/stop() pair, checked against the Time Base register, and
+// argues per-pair costs are far lower since initialization happens once.
 //
 // The tracing rows extend the table to the time-series layer: the modeled
 // cost of one threshold-interrupt sample (snapshot + ring push + re-arm)
@@ -172,7 +172,7 @@ SnapProbe probe_snapshot_loop(bool periodic,
 
 }  // namespace
 
-int main() {
+int bench::tab_overhead() {
   bench::banner("Table (section IV)", "Interface instrumentation overhead",
                 "initialize+start+stop = 196 cycles measured against the "
                 "Time Base register; negligible vs application runtime");

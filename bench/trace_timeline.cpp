@@ -42,8 +42,13 @@ TimelineOutcome trace_one(nas::Benchmark bench, nas::ProblemClass cls,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::HarnessArgs::parse(argc, argv, 8,
-                                              nas::ProblemClass::kS);
+  bench::Scale args{8, nas::ProblemClass::kS};
+  for (int i = 1; i < argc; ++i) {
+    if (!bench::parse_scale_flag(argv[i], args)) {
+      std::fprintf(stderr, "usage: %s [--nodes=N] [--class=S|W|A]\n", argv[0]);
+      return 2;
+    }
+  }
   bench::banner("Timeline (tracing subsystem)",
                 "Phase structure mined from per-node counter traces",
                 "iterative kernels alternate compute and communicate; the "

@@ -1,11 +1,14 @@
-// Shared helpers for the experiment harnesses: consistent headers, aligned
-// table printing, and command-line scaling knobs. Every harness prints the
-// paper artifact it regenerates plus the expectation its shape is checked
-// against (EXPERIMENTS.md records the outcomes).
+// Shared helpers for the experiment harnesses: banners, aligned tables,
+// --nodes/--class scaling, rank conventions, the BENCH_*.json writer, and
+// the figures bench/repro regenerates, each printed with the expectation
+// its shape is checked against (EXPERIMENTS.md records the outcomes).
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -63,32 +66,23 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Command-line scaling: --nodes=N, --class=S|W|A. Defaults keep each
-/// harness in the tens-of-seconds range; pass bigger values to approach the
-/// paper's 32-node/128-rank configuration.
-struct HarnessArgs {
+/// A figure's scale: partition size and problem class.
+struct Scale {
   unsigned nodes = 4;
   nas::ProblemClass cls = nas::ProblemClass::kW;
-
-  static HarnessArgs parse(int argc, char** argv, unsigned default_nodes,
-                           nas::ProblemClass default_cls) {
-    HarnessArgs a;
-    a.nodes = default_nodes;
-    a.cls = default_cls;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-        a.nodes = static_cast<unsigned>(std::atoi(argv[i] + 8));
-      } else if (std::strncmp(argv[i], "--class=", 8) == 0) {
-        a.cls = nas::parse_class(argv[i] + 8);
-      } else {
-        std::fprintf(stderr, "usage: %s [--nodes=N] [--class=S|W|A]\n",
-                     argv[0]);
-        std::exit(2);
-      }
-    }
-    return a;
-  }
 };
+
+/// Apply a --nodes=N or --class=S|W|A argument to `s`; false for any other.
+inline bool parse_scale_flag(const char* arg, Scale& s) {
+  if (std::strncmp(arg, "--nodes=", 8) == 0) {
+    s.nodes = static_cast<unsigned>(std::atoi(arg + 8));
+  } else if (std::strncmp(arg, "--class=", 8) == 0) {
+    s.cls = nas::parse_class(arg + 8);
+  } else {
+    return false;
+  }
+  return true;
+}
 
 /// The paper's square-rank convention for SP and BT (121 of 128 processes).
 inline unsigned square_ranks(unsigned total) {
@@ -109,5 +103,48 @@ inline unsigned ranks_for(nas::Benchmark b, unsigned nodes, sys::OpMode mode) {
 inline std::string fmt_double(double v, const char* fmt = "%.2f") {
   return strfmt(fmt, v);
 }
+
+/// Write BENCH file `name` into $BGPC_BENCH_ARTIFACT_DIR if set, else the
+/// working directory. Returns its path; empty (after a message) on failure.
+inline std::filesystem::path write_bench_file(const std::string& name,
+                                              const std::string& text) {
+  std::filesystem::path path = name;
+  if (const char* dir = std::getenv("BGPC_BENCH_ARTIFACT_DIR")) {
+    std::filesystem::create_directories(dir);
+    path = std::filesystem::path(dir) / name;
+  }
+  std::FILE* f = std::fopen(path.string().c_str(), "wb");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.string().c_str());
+    return {};
+  }
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
+  return path;
+}
+
+using Outputs = std::vector<const nas::RunOutput*>;
+
+/// One paper artifact (bench/figures.cpp). Its runs form a grid, apps
+/// outer: each app in Virtual Node Mode under the paper's rank conventions,
+/// turned into each of `variants` variants by `vary`. `render` prints the
+/// artifact from their outputs, app a's variant v at outs[a * variants + v];
+/// false when a run did not verify or a shape check failed.
+struct Figure {
+  std::string_view id;  ///< the --only name, e.g. "fig06"
+  Scale defaults;       ///< before --nodes / --class override it
+  std::vector<nas::Benchmark> apps;
+  std::size_t variants = 0;
+  void (*vary)(nas::RunConfig& cfg, std::size_t variant) = nullptr;
+  std::function<bool(const Scale&, const Outputs&)> render;
+
+  [[nodiscard]] std::vector<nas::RunConfig> runs(const Scale& s) const;
+};
+
+/// Every artifact, in print order.
+[[nodiscard]] const std::vector<Figure>& figures();
+
+/// The §IV overhead table (bench/tab_overhead.cpp); 0 when it holds.
+int tab_overhead();
 
 }  // namespace bgp::bench

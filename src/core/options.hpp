@@ -65,6 +65,8 @@ struct Options {
   /// metrics registry — and writes per-node <app>.node<N>.bgps span files
   /// into dump_dir at finalize (see docs/observability.md).
   obs::ObsConfig obs;
+
+  bool operator==(const Options&) const = default;
 };
 
 /// Combined instrumentation overhead on the measurement path (§IV).

@@ -47,6 +47,8 @@ struct FaultEvent {
   u32 byte_offset = 0;   ///< kDumpBitFlip: victim byte (mod dump size)
   u8 bit = 0;            ///< kDumpBitFlip: victim bit within the byte
   u32 attempts = 1;      ///< kDumpWriteError: failing attempts (kAlwaysFail)
+
+  bool operator==(const FaultEvent&) const = default;
 };
 
 /// kDumpWriteError attempt count that outlasts any retry budget: the dump
@@ -96,6 +98,8 @@ class FaultPlan {
   /// are assigned to surviving nodes (a dead node writes nothing to break).
   [[nodiscard]] static FaultPlan random(u64 seed, unsigned num_nodes,
                                         const FaultSpec& spec);
+
+  bool operator==(const FaultPlan&) const = default;
 
  private:
   std::vector<FaultEvent> events_;

@@ -38,6 +38,8 @@ struct RunConfig {
   /// aborts its ranks and strands blocked peers; enabled, the kernel runs
   /// guarded and survivors recover, finalize and dump.
   ft::FtParams ft{};
+
+  bool operator==(const RunConfig&) const = default;
 };
 
 struct RunOutput {

@@ -81,6 +81,8 @@ struct MachineConfig {
   /// so that code which still sets them compiles.
   SchedMode sched = SchedMode::kSerial;
   unsigned jobs = 0;
+
+  bool operator==(const MachineConfig&) const = default;
 };
 
 class Machine {
